@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -75,6 +76,9 @@ def write_results(rows: list[RunResult], stream: IO[str], fmt: str = "csv") -> N
 
 def read_results_csv(stream: IO[str]) -> list[RunResult]:
     reader = csv.DictReader(stream)
+    missing = [name for name in CSV_FIELDS if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"results CSV lacks column(s): {', '.join(missing)}")
     rows = []
     for rec in reader:
         rows.append(RunResult(
@@ -106,6 +110,8 @@ _PARAM_KEYS = {f.name for f in fields(SolverParams)} - {"method", "wall_budget_s
 _INT_PARAMS = {"hc_iterations", "sa_iterations", "ts_iterations",
                "ts_tabu_length", "ts_num_tweaks", "ils_queue_length"}
 _BOOL_PARAMS = {"hc_strict", "sa_geometric"}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True,
+                "0": False, "false": False, "no": False}
 
 
 def parse_manifest(path: str | Path) -> BenchManifest:
@@ -141,13 +147,19 @@ def parse_manifest(path: str | Path) -> BenchManifest:
             seeds.extend(int(v) for v in value.split(",") if v.strip())
         elif key == "budget":
             budget = float(value)
+            if not (math.isfinite(budget) and budget > 0):
+                raise ValueError(f"{path}:{line_no}: budget must be finite and positive, "
+                                 f"got {value!r}")
         elif key == "references":
             references = value
         elif key in _PARAM_KEYS:
             if key in _INT_PARAMS:
                 overrides[key] = int(value)
             elif key in _BOOL_PARAMS:
-                overrides[key] = value.lower() in ("1", "true", "yes")
+                if value.lower() not in _BOOL_VALUES:
+                    raise ValueError(f"{path}:{line_no}: {key} must be one of "
+                                     f"1/0/true/false/yes/no, got {value!r}")
+                overrides[key] = _BOOL_VALUES[value.lower()]
             elif key == "initializer":
                 overrides[key] = value
             else:

@@ -29,6 +29,13 @@ _OVERRIDE_FLAGS = [
 ]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chroma",
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--manifest", required=True)
     bench.add_argument("--out", required=True)
     bench.add_argument("--json", action="store_true", help="write JSON instead of CSV")
-    bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    bench.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                        help="concurrent cells (default: processor count)")
 
     report = sub.add_parser("report", help="format a results CSV as a table")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -66,8 +67,9 @@ class SolverParams:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("sa_decrement", "ils_inner_seconds", "ils_total_seconds",
                      "wall_budget_seconds"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.ils_inner_seconds > self.ils_total_seconds:
             raise ValueError("ils_inner_seconds cannot exceed ils_total_seconds")
         if not 0.0 < self.ils_perturbation <= 1.0:
@@ -92,7 +94,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 def coloring_fingerprint(colors: Sequence[int]) -> int:
     """64-bit FNV-1a over the color vector (4 little-endian bytes per entry).
 
-    Platform-independent, so tabu and home-base memories behave identically
+    Platform-independent, so ILS home-base memories behave identically
     everywhere.
     """
     h = _FNV_OFFSET
@@ -101,6 +103,23 @@ def coloring_fingerprint(colors: Sequence[int]) -> int:
             h ^= (value >> shift) & 0xFF
             h = (h * _FNV_PRIME) & _U64
     return h
+
+
+_ZOBRIST_SEED = 0x2B7E151628AED2A6  # fixed: the keys never draw on a search rng
+
+
+def _zobrist_table(n: int, k: int) -> list[tuple[int, ...]]:
+    """Zobrist (1970) keys: table[v][c] is a random 64-bit word for vertex v
+    colored c.
+
+    A coloring hashes to the XOR of table[v][colors[v]] over all v, so
+    recoloring v from old to new changes the hash by table[v][old] ^
+    table[v][new]. The words come from a private fixed-seed generator, so
+    building the table leaves every search's move stream untouched.
+    """
+    data = random.Random(_ZOBRIST_SEED).randbytes(8 * n * k)
+    words = struct.unpack(f"<{n * k}Q", data)
+    return [words[v * k:(v + 1) * k] for v in range(n)]
 
 
 class FingerprintFifo:
@@ -230,6 +249,8 @@ def _prepare(g: Graph, k: int, init: Sequence[int], clock: Clock) -> _ConflictSt
         raise ValueError(
             f"initial coloring has length {len(init)}, graph has {g.vertex_count} vertices"
         )
+    if any(not 0 <= c < k for c in init):
+        raise ValueError(f"initial coloring uses colors outside 0..{k - 1}")
     state = _ConflictState(g, init)
     clock.tick()  # counts as the initial objective evaluation
     return state
@@ -350,6 +371,10 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     drops those whose fingerprint sits in the tabu list, and moves to the
     lowest-conflict survivor (first drawn wins ties), even when worsening.
     An all-tabu sample makes no move that iteration.
+
+    Colorings are fingerprinted with an incremental 64-bit Zobrist hash (see
+    _zobrist_table): the current coloring's hash is kept up to date, and a
+    candidate's is derived from it in O(1) without touching the coloring.
     """
     clock = clock if clock is not None else make_clock()
     rng = random.Random(seed)
@@ -359,6 +384,10 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     best = list(state.colors)
     best_conf = state.total
     tabu = FingerprintFifo(params.ts_tabu_length)
+    table = _zobrist_table(g.vertex_count, k)
+    h = 0
+    for v, c in enumerate(state.colors):
+        h ^= table[v][c]
     for i in range(1, params.ts_iterations + 1):
         if best_conf == 0:
             break
@@ -372,10 +401,8 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             d = state.delta(v, new)
             clock.tick()
             evals += 1
-            old = colors[v]
-            colors[v] = new
-            fp = coloring_fingerprint(colors)
-            colors[v] = old
+            row = table[v]
+            fp = h ^ row[colors[v]] ^ row[new]
             if fp in tabu:
                 continue
             cand_conf = state.total + d
@@ -385,6 +412,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             continue
         _, v, new, fp = chosen
         state.apply(v, new)
+        h = fp
         tabu.push(fp)
         if state.total < best_conf:
             best_conf = state.total

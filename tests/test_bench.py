@@ -46,6 +46,7 @@ class TestManifest:
             "sa_iterations = 500  # trimmed\n"
             "ils_inner_seconds = 0.5\n"
             "hc_strict = true\n"
+            "sa_geometric = No\n"
         )
         m = parse_manifest(path)
         assert m.instances == ["a.col", "b.col"]
@@ -54,6 +55,7 @@ class TestManifest:
         assert m.budget_seconds == 30.0
         assert m.param_overrides == {
             "sa_iterations": 500, "ils_inner_seconds": 0.5, "hc_strict": True,
+            "sa_geometric": False,
         }
 
     def test_seeds_default(self, tmp_path):
@@ -67,6 +69,14 @@ class TestManifest:
         ("methods = hc\n", "no instances"),
         ("instances = a.col\n", "no methods"),
         ("instances = a.col\nmethods = hc\nbadline\n", "key = value"),
+        ("instances = a.col\nmethods = hc\nbudget = nan\n",
+         r"bad\.manifest:3: budget must be finite"),
+        ("instances = a.col\nmethods = hc\nbudget = inf\n",
+         r"bad\.manifest:3: budget must be finite"),
+        ("instances = a.col\nmethods = hc\nbudget = 0\n",
+         r"bad\.manifest:3: budget must be finite"),
+        ("instances = a.col\nmethods = hc\nhc_strict = treu\n",
+         r"bad\.manifest:3: hc_strict must be one of"),
     ])
     def test_rejects_malformed(self, tmp_path, text, match):
         path = tmp_path / "bad.manifest"

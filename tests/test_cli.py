@@ -156,6 +156,38 @@ class TestBenchAndReport:
         assert code == 2
         assert "no instances" in err
 
+    def test_unrecognised_bool_exits_2(self, capsys, tmp_path):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text("instances = a.col\nmethods = hc\nhc_strict = treu\n")
+        code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"{manifest}:3" in err
+        assert "treu" in err
+
+    def test_nan_budget_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
+                               "--method", "hc", "--budget", "nan")
+        assert code == 2
+        assert "wall_budget_seconds must be finite" in err
+
+    def test_report_missing_columns_exits_2(self, capsys, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("instance,method,k_colors\ntri,HC,3\n")
+        code, out, err = run_cli(capsys, "report", "--in", str(results))
+        assert code == 2
+        assert out == ""
+        assert "seed" in err and "best_known" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_rejected(self, capsys, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--manifest", str(tmp_path / "m"),
+                  "--out", str(tmp_path / "r.csv"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestExact:
     def test_petersen(self, capsys):

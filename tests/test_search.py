@@ -42,6 +42,11 @@ class TestSolverParams:
         {"ils_inner_seconds": 20.0, "ils_total_seconds": 10.0},
         {"ils_perturbation": 0.0},
         {"initializer": "greedy"},
+        {"wall_budget_seconds": float("nan")},
+        {"wall_budget_seconds": float("inf")},
+        {"sa_decrement": float("nan")},
+        {"ils_inner_seconds": float("nan")},
+        {"ils_total_seconds": float("inf")},
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -249,6 +254,13 @@ class TestHillClimbing:
             hill_climbing(k3, 1, [0, 0, 0], params(), seed=1)
         with pytest.raises(ValueError):
             hill_climbing(k3, 3, [0, 0], params(), seed=1)
+
+    @pytest.mark.parametrize("init", [[0, 1, 3], [0, -1, 2]])
+    def test_rejects_init_outside_palette(self, k3, init):
+        for search in (hill_climbing, simulated_annealing, tabu_search,
+                       iterated_local_search):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                search(k3, 3, init, params(), seed=1)
 
 
 class TestSimulatedAnnealing:
