@@ -31,6 +31,7 @@ def main() -> int:
     for i in range(args.graphs):
         g = random_graph(args.size, args.p, seed=args.seed + i)
         chi, _ = chromatic_number_exact(g)
+        marks = []
         for method in METHODS:
             params = SolverParams(method=method, wall_budget_seconds=args.budget)
             coloring, k, _ = solve_k_reduction(g, params, seed=1)
@@ -39,8 +40,8 @@ def main() -> int:
                 hits[method] += 1
             else:
                 gaps[method] += k - chi
-        print(f"graph {i + 1}/{args.graphs}: chi={chi}  "
-              + "  ".join(f"{m}:{'ok' if hits[m] > i else 'miss'}" for m in METHODS))
+            marks.append(f"{method}:{'ok' if k == chi else 'miss'}")
+        print(f"graph {i + 1}/{args.graphs}: chi={chi}  " + "  ".join(marks))
 
     print()
     for method in METHODS:

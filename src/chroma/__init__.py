@@ -1,8 +1,8 @@
 """Graph vertex coloring via single-state metaheuristics.
 
 Core surface: an immutable adjacency-list Graph with conflict measurements,
-DIMACS .col parsing, DSatur and random constructive colorings, an exact
-small-graph chromatic-number oracle, four fixed-palette conflict-minimization
+DIMACS .col parsing, DSatur and random constructive colorings, a clique
+lower bound, an exact small-graph chromatic-number oracle, four fixed-palette conflict-minimization
 searches (HC, SA, TS, ILS) under a k-reduction driver, and a benchmark
 harness with CSV/JSON reporting.
 """
@@ -14,7 +14,8 @@ from .dimacs import (BEST_KNOWN_COLORS, DimacsError, InstanceRecord,
 from .generators import random_bipartite_graph, random_graph
 from .graph import (Coloring, Graph, GraphError, build_graph, color_count,
                     conflict_count, conflicted_vertices, is_proper, max_degree)
-from .heuristics import chromatic_number_exact, dsatur, random_coloring
+from .heuristics import (chromatic_number_exact, clique_lower_bound, dsatur,
+                         random_coloring)
 from .search import (METHODS, FingerprintFifo, SearchOutcome, SolverParams,
                      coloring_fingerprint, hill_climbing, iterated_local_search,
                      project_coloring, simulated_annealing, solve_k_reduction,
@@ -26,7 +27,8 @@ __all__ = [
     "BEST_KNOWN_COLORS", "Coloring", "DimacsError", "FingerprintFifo", "Graph",
     "GraphError", "InstanceRecord", "METHODS", "RunResult", "SearchOutcome",
     "SolverParams", "VirtualClock", "WallClock", "build_graph",
-    "chromatic_number_exact", "color_count", "coloring_fingerprint",
+    "chromatic_number_exact", "clique_lower_bound", "color_count",
+    "coloring_fingerprint",
     "compare_report", "conflict_count", "conflicted_vertices", "diff_percent",
     "dsatur", "hill_climbing", "is_proper", "iterated_local_search",
     "load_instance", "make_clock", "max_degree", "parse_dimacs",

@@ -114,6 +114,44 @@ _BOOL_VALUES = {"1": True, "true": True, "yes": True,
                 "0": False, "false": False, "no": False}
 
 
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _parse_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _parse_value(key: str, value: str):
+    """Typed value of a manifest key other than instances, methods and
+    references; raises ValueError without the line's location."""
+    if key == "seeds":
+        return [_parse_int("seeds", v.strip()) for v in value.split(",") if v.strip()]
+    if key == "budget":
+        budget = _parse_float("budget", value)
+        if budget <= 0:
+            raise ValueError(f"budget must be finite and positive, got {value!r}")
+        return budget
+    if key in _INT_PARAMS:
+        return _parse_int(key, value)
+    if key in _BOOL_PARAMS:
+        if value.lower() not in _BOOL_VALUES:
+            raise ValueError(f"{key} must be one of 1/0/true/false/yes/no, got {value!r}")
+        return _BOOL_VALUES[value.lower()]
+    if key == "initializer":
+        return value
+    return _parse_float(key, value)
+
+
 def parse_manifest(path: str | Path) -> BenchManifest:
     """Parse a flat key=value manifest; '#' starts a comment, lists use commas.
 
@@ -143,27 +181,19 @@ def parse_manifest(path: str | Path) -> BenchManifest:
                 if m not in METHODS:
                     raise ValueError(f"{path}:{line_no}: unknown method {m!r}")
                 methods.append(m)
-        elif key == "seeds":
-            seeds.extend(int(v) for v in value.split(",") if v.strip())
-        elif key == "budget":
-            budget = float(value)
-            if not (math.isfinite(budget) and budget > 0):
-                raise ValueError(f"{path}:{line_no}: budget must be finite and positive, "
-                                 f"got {value!r}")
         elif key == "references":
             references = value
-        elif key in _PARAM_KEYS:
-            if key in _INT_PARAMS:
-                overrides[key] = int(value)
-            elif key in _BOOL_PARAMS:
-                if value.lower() not in _BOOL_VALUES:
-                    raise ValueError(f"{path}:{line_no}: {key} must be one of "
-                                     f"1/0/true/false/yes/no, got {value!r}")
-                overrides[key] = _BOOL_VALUES[value.lower()]
-            elif key == "initializer":
-                overrides[key] = value
+        elif key in ("seeds", "budget") or key in _PARAM_KEYS:
+            try:
+                parsed = _parse_value(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if key == "seeds":
+                seeds.extend(parsed)
+            elif key == "budget":
+                budget = parsed
             else:
-                overrides[key] = float(value)
+                overrides[key] = parsed
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
     if not instances:

@@ -1,10 +1,10 @@
 """DIMACS ``.col`` instance parsing and rendering.
 
-Grammar accepted: ``c`` comment lines anywhere, exactly one ``p edge N M``
-header, and ``e u v`` lines with 1-indexed endpoints separated by one or more
-spaces. Unknown line types are ignored with a warning; an ``e``-line count
-that disagrees with the header is a warning, not an error, because duplicate
-edges legitimately collapse.
+Grammar accepted: ``c`` comment lines anywhere, possibly indented; exactly one
+``p edge N M`` header (``p col N M`` is a synonym); and ``e u v`` lines with
+1-indexed endpoints separated by one or more spaces. Unknown line types are
+ignored with a warning; an ``e``-line count that disagrees with the header is
+a warning, not an error, because duplicate edges legitimately collapse.
 """
 
 from __future__ import annotations
@@ -65,16 +65,16 @@ def parse_dimacs(text: str | IO[str]) -> ParsedDimacs:
     edges: list[tuple[int, int]] = []
     warnings: list[str] = []
     for line_no, raw in enumerate(lines, start=1):
-        if raw.startswith("c"):
-            continue
         tokens = raw.split()
         if not tokens:
             continue
         kind = tokens[0]
+        if kind.startswith("c"):
+            continue
         if kind == "p":
             if vertex_count >= 0:
                 raise DimacsError("duplicate p line", line_no)
-            if len(tokens) != 4 or tokens[1] != "edge":
+            if len(tokens) != 4 or tokens[1] not in ("edge", "col"):
                 raise DimacsError(f"malformed p line: {raw.rstrip()!r}", line_no)
             try:
                 vertex_count = int(tokens[2])

@@ -8,7 +8,8 @@ a fixed palette size k; a proper coloring is exactly a zero-conflict state.
 
 The outer driver (`solve_k_reduction`) starts from a DSatur coloring and
 repeatedly attempts one fewer color, projecting the incumbent witness down a
-level, until an attempt fails or the wall budget runs out.
+level, until an attempt fails, the wall budget runs out, or k reaches the size
+of a clique in the graph, below which no attempt can succeed.
 
 Every method is deterministic given (graph, params, seed), except that a real
 wall clock may cut time-driven loops at machine-dependent points; under the
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .clock import Clock, make_clock
 from .graph import Coloring, Graph, color_count, conflicted_vertices
-from .heuristics import dsatur, random_coloring
+from .heuristics import clique_lower_bound, dsatur, random_coloring
 
 METHODS = ("HC", "SA", "TS", "ILS")
 
@@ -63,8 +64,10 @@ class SolverParams:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name in ("hc_iterations", "sa_iterations", "ts_iterations",
                      "ts_tabu_length", "ts_num_tweaks", "ils_queue_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            # bool is an int subclass; a NaN count never ends a loop (i >= nan is false)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         for name in ("sa_decrement", "ils_inner_seconds", "ils_total_seconds",
                      "wall_budget_seconds"):
             value = getattr(self, name)
@@ -523,8 +526,10 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     Starts from DSatur's proper coloring and its color count k, then attempts
     k-1, k-2, ... with the incumbent witness projected down one level each
     time (or a fresh random coloring under initializer='random'). The first
-    failed attempt, or an exhausted wall budget, ends the run; the smallest
-    achieved k is returned with its proper witness and the per-level outcomes.
+    failed attempt, an exhausted wall budget, or a k equal to the clique lower
+    bound (computed once, after DSatur) ends the run; the smallest achieved k
+    is returned with its proper witness and the per-level outcomes. A level
+    below the bound is never attempted, since it could only fail.
     """
     if g.vertex_count == 0:
         raise ValueError("cannot color an empty graph")
@@ -535,8 +540,9 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     deadline = t0 + params.wall_budget_seconds
     best = dsatur(g)
     k = color_count(best)
+    bound = clique_lower_bound(g)
     trace: list[SearchOutcome] = []
-    while k - 1 >= 2:
+    while k - 1 >= 2 and k > bound:
         if clock.now() >= deadline:
             break
         target = k - 1

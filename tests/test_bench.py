@@ -77,6 +77,20 @@ class TestManifest:
          r"bad\.manifest:3: budget must be finite"),
         ("instances = a.col\nmethods = hc\nhc_strict = treu\n",
          r"bad\.manifest:3: hc_strict must be one of"),
+        ("instances = a.col\nmethods = hc\nhc_iterations = 5x\n",
+         r"bad\.manifest:3: hc_iterations must be an integer, got '5x'"),
+        ("instances = a.col\nmethods = hc\nts_tabu_length = 2.5\n",
+         r"bad\.manifest:3: ts_tabu_length must be an integer"),
+        ("instances = a.col\nmethods = hc\nsa_decrement = fast\n",
+         r"bad\.manifest:3: sa_decrement must be a number, got 'fast'"),
+        ("instances = a.col\nmethods = hc\nsa_decrement = nan\n",
+         r"bad\.manifest:3: sa_decrement must be finite"),
+        ("instances = a.col\nmethods = hc\nils_total_seconds = inf\n",
+         r"bad\.manifest:3: ils_total_seconds must be finite"),
+        ("instances = a.col\nmethods = hc\nseeds = 1, two\n",
+         r"bad\.manifest:3: seeds must be an integer, got 'two'"),
+        ("instances = a.col\nmethods = hc\nbudget = soon\n",
+         r"bad\.manifest:3: budget must be a number, got 'soon'"),
     ])
     def test_rejects_malformed(self, tmp_path, text, match):
         path = tmp_path / "bad.manifest"

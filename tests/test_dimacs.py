@@ -38,6 +38,15 @@ class TestParse:
         assert parsed.edges == [(0, 1), (1, 2), (0, 2)]
         assert parsed.warnings == []
 
+    def test_indented_comment_is_a_comment(self):
+        parsed = parse_dimacs("  c indented comment\np edge 2 1\n\tc tab-indented\ne 1 2\n")
+        assert parsed.edges == [(0, 1)]
+        assert parsed.warnings == []
+
+    def test_p_col_header_is_a_synonym_for_p_edge(self):
+        parsed = parse_dimacs("p col 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+        assert parsed == parse_dimacs(TRIANGLE)
+
     def test_multiple_spaces_between_fields(self):
         parsed = parse_dimacs("p  edge   2    1\ne   1    2\n")
         assert parsed.vertex_count == 2

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chroma import (build_graph, chromatic_number_exact, color_count, dsatur,
-                    is_proper, load_instance, max_degree,
+from chroma import (build_graph, chromatic_number_exact, clique_lower_bound,
+                    color_count, dsatur, is_proper, load_instance, max_degree,
                     random_bipartite_graph, random_coloring, random_graph)
 
 from conftest import dsjc_path, graphs
@@ -94,6 +94,67 @@ class TestDsatur:
         coloring = dsatur(record.graph)
         assert is_proper(record.graph, coloring)
         assert color_count(coloring) >= record.best_known_colors == 44
+
+
+def brute_clique_number(g) -> int:
+    """Largest s with an s-vertex clique, scanning s upward; cliques are
+    closed under subsets, so the first size with none ends the scan."""
+    adjacency = [set(a) for a in g.adjacency]
+
+    def has_clique(size):
+        return any(all(v in adjacency[u] for u, v in itertools.combinations(vs, 2))
+                   for vs in itertools.combinations(range(g.vertex_count), size))
+
+    size = 0
+    while has_clique(size + 1):
+        size += 1
+    return size
+
+
+def complete_graph(n):
+    return build_graph(n, itertools.combinations(range(n), 2))
+
+
+class TestCliqueLowerBound:
+    def test_empty_graph(self):
+        assert clique_lower_bound(build_graph(0, [])) == 0
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 17, 40])
+    def test_edgeless(self, n):
+        assert clique_lower_bound(build_graph(n, [])) == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 17, 30])
+    def test_complete_graph(self, n):
+        assert clique_lower_bound(complete_graph(n)) == n
+
+    def test_five_cycle(self, c5):
+        assert clique_lower_bound(c5) == 2
+
+    @pytest.mark.parametrize("side", [8, 15])
+    def test_bipartite(self, side):
+        for seed in range(10):
+            g = random_bipartite_graph(side, side, 0.5, seed=seed)
+            assert g.edge_count > 0
+            assert clique_lower_bound(g) == 2
+
+    def test_greedy_finds_a_planted_clique_of_hubs(self):
+        # the 12 planted vertices have the highest degrees, so greedy takes them
+        g = random_graph(60, 0.1, seed=4)
+        edges = [(u, v) for u in range(g.vertex_count) for v in g.adjacency[u] if u < v]
+        bigger = build_graph(60, edges + list(itertools.combinations(range(12), 2)))
+        assert clique_lower_bound(bigger) >= 12
+
+    @given(graphs(min_n=1, max_n=16))
+    @settings(deadline=None)
+    def test_exact_up_to_the_vertex_limit(self, g):
+        bound = clique_lower_bound(g)
+        assert bound == brute_clique_number(g)
+        assert bound <= chromatic_number_exact(g)[0]
+
+    @given(graphs(min_n=17, max_n=22))
+    @settings(deadline=None, max_examples=30)
+    def test_greedy_above_the_limit_is_a_clique_size(self, g):
+        assert 1 <= clique_lower_bound(g) <= brute_clique_number(g)
 
 
 class TestExactOracle:

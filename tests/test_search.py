@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma import (FingerprintFifo, SolverParams, VirtualClock, WallClock,
-                    build_graph, color_count, coloring_fingerprint,
-                    conflict_count, conflicted_vertices, dsatur, hill_climbing,
-                    is_proper, iterated_local_search, project_coloring,
-                    random_graph, simulated_annealing, solve_k_reduction,
-                    tabu_search, tweak)
+import chroma.search as search_module
+from chroma import (METHODS, FingerprintFifo, SolverParams, VirtualClock,
+                    WallClock, build_graph, clique_lower_bound, color_count,
+                    coloring_fingerprint, conflict_count, conflicted_vertices,
+                    dsatur, hill_climbing, is_proper, iterated_local_search,
+                    project_coloring, random_graph, simulated_annealing,
+                    solve_k_reduction, tabu_search, tweak)
 
 from conftest import graphs
 
@@ -47,6 +48,12 @@ class TestSolverParams:
         {"sa_decrement": float("nan")},
         {"ils_inner_seconds": float("nan")},
         {"ils_total_seconds": float("inf")},
+        {"hc_iterations": float("nan")},
+        {"sa_iterations": 100.0},
+        {"ts_iterations": 2.5},
+        {"ts_tabu_length": True},
+        {"ts_num_tweaks": float("inf")},
+        {"ils_queue_length": "70"},
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -403,12 +410,37 @@ class TestIteratedLocalSearch:
 
 class TestSolveKReduction:
     def test_clique_cannot_go_below_four(self, k4):
+        # DSatur's 4 colors equal the clique bound, so no level is attempted
         for method in ("HC", "SA", "TS"):
             coloring, k, trace = solve_k_reduction(
                 k4, params(method=method, wall_budget_seconds=5.0), seed=1)
             assert k == 4
             assert is_proper(k4, coloring)
-            assert trace[-1].conflicts > 0
+            assert trace == []
+
+    def test_clique_bound_only_drops_the_final_failed_level(self, monkeypatch):
+        """Differential: the driver against itself with the bound disabled, on
+        acceptance criterion 2's graphs. Same (k, coloring); the trace loses
+        at most its last, failed level, and only where the bound equals k."""
+        monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+        skipped = 0
+        for i in range(30):
+            g = random_graph(9, 0.5, seed=5000 + i)
+            bound = clique_lower_bound(g)
+            for method in METHODS:
+                p = params(method=method, wall_budget_seconds=10.0)
+                new_coloring, new_k, new_trace = solve_k_reduction(g, p, seed=1)
+                with monkeypatch.context() as m:
+                    m.setattr(search_module, "clique_lower_bound", lambda g: 0)
+                    old_coloring, old_k, old_trace = solve_k_reduction(g, p, seed=1)
+                assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
+                assert new_trace == old_trace[:len(new_trace)], (i, method)
+                dropped = old_trace[len(new_trace):]
+                assert len(dropped) <= 1, (i, method)
+                if dropped:
+                    assert bound == new_k and dropped[0].conflicts > 0, (i, method)
+                    skipped += 1
+        assert skipped >= 100  # 112: every method reaches the bound on 28 graphs
 
     def test_five_cycle_reaches_three(self, c5):
         coloring, k, trace = solve_k_reduction(
