@@ -2,9 +2,9 @@
 
 Core surface: an immutable adjacency-list Graph with conflict measurements,
 DIMACS .col parsing, DSatur and random constructive colorings, a clique
-lower bound, an exact small-graph chromatic-number oracle, four fixed-palette conflict-minimization
-searches (HC, SA, TS, ILS) under a k-reduction driver, and a benchmark
-harness with CSV/JSON reporting.
+lower bound, an exact small-graph chromatic-number oracle, four fixed-palette
+conflict-minimization searches (HC, SA, TS, ILS) under a k-reduction driver,
+and a benchmark harness with CSV/JSON reporting.
 """
 
 from .bench import RunResult, diff_percent, run_benchmark, compare_report

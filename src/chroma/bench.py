@@ -114,42 +114,21 @@ _BOOL_VALUES = {"1": True, "true": True, "yes": True,
                 "0": False, "false": False, "no": False}
 
 
-def _parse_int(key: str, text: str) -> int:
+def _parse_int(where: str, key: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+        raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
 
 
-def _parse_float(key: str, text: str) -> float:
+def _parse_float(where: str, key: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"{key} must be a number, got {text!r}") from None
+        raise ValueError(f"{where}: {key} must be a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {text!r}")
+        raise ValueError(f"{where}: {key} must be finite, got {text!r}")
     return value
-
-
-def _parse_value(key: str, value: str):
-    """Typed value of a manifest key other than instances, methods and
-    references; raises ValueError without the line's location."""
-    if key == "seeds":
-        return [_parse_int("seeds", v.strip()) for v in value.split(",") if v.strip()]
-    if key == "budget":
-        budget = _parse_float("budget", value)
-        if budget <= 0:
-            raise ValueError(f"budget must be finite and positive, got {value!r}")
-        return budget
-    if key in _INT_PARAMS:
-        return _parse_int(key, value)
-    if key in _BOOL_PARAMS:
-        if value.lower() not in _BOOL_VALUES:
-            raise ValueError(f"{key} must be one of 1/0/true/false/yes/no, got {value!r}")
-        return _BOOL_VALUES[value.lower()]
-    if key == "initializer":
-        return value
-    return _parse_float(key, value)
 
 
 def parse_manifest(path: str | Path) -> BenchManifest:
@@ -174,6 +153,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        where = f"{path}:{line_no}"
         if key == "instances":
             instances.extend(v.strip() for v in value.split(",") if v.strip())
         elif key == "methods":
@@ -181,19 +161,28 @@ def parse_manifest(path: str | Path) -> BenchManifest:
                 if m not in METHODS:
                     raise ValueError(f"{path}:{line_no}: unknown method {m!r}")
                 methods.append(m)
+        elif key == "seeds":
+            seeds.extend(_parse_int(where, key, v.strip())
+                         for v in value.split(",") if v.strip())
+        elif key == "budget":
+            budget = _parse_float(where, key, value)
+            if budget <= 0:
+                raise ValueError(f"{path}:{line_no}: budget must be finite and positive, "
+                                 f"got {value!r}")
         elif key == "references":
             references = value
-        elif key in ("seeds", "budget") or key in _PARAM_KEYS:
-            try:
-                parsed = _parse_value(key, value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if key == "seeds":
-                seeds.extend(parsed)
-            elif key == "budget":
-                budget = parsed
+        elif key in _PARAM_KEYS:
+            if key in _INT_PARAMS:
+                overrides[key] = _parse_int(where, key, value)
+            elif key in _BOOL_PARAMS:
+                if value.lower() not in _BOOL_VALUES:
+                    raise ValueError(f"{path}:{line_no}: {key} must be one of "
+                                     f"1/0/true/false/yes/no, got {value!r}")
+                overrides[key] = _BOOL_VALUES[value.lower()]
+            elif key == "initializer":
+                overrides[key] = value
             else:
-                overrides[key] = parsed
+                overrides[key] = _parse_float(where, key, value)
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
     if not instances:

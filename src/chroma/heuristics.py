@@ -66,25 +66,11 @@ def clique_lower_bound(g: Graph) -> int:
 
     Up to EXACT_VERTEX_LIMIT vertices this is the clique number, found by a
     bitset branch and bound in the style of MCQ (Tomita & Seki 2003). Larger
-    graphs get one greedy clique, grown from the highest-degree vertex by
-    adding the candidate of highest degree at each step (lowest index wins
-    ties): far below the clique number on dense graphs, but linear in the
-    edges it touches.
+    graphs get the trivial bound: 2 if g has an edge, else 1.
     """
     if g.vertex_count <= EXACT_VERTEX_LIMIT:
         return _clique_number(g)
-    adjacency = g.adjacency
-
-    def by_degree(v: int) -> tuple[int, int]:
-        return len(adjacency[v]), -v
-
-    size = 1
-    candidates = set(adjacency[max(range(g.vertex_count), key=by_degree)])
-    while candidates:
-        u = max(candidates, key=by_degree)
-        candidates.intersection_update(adjacency[u])
-        size += 1
-    return size
+    return 2 if g.edge_count else 1
 
 
 def _clique_number(g: Graph) -> int:

@@ -542,7 +542,7 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     k = color_count(best)
     bound = clique_lower_bound(g)
     trace: list[SearchOutcome] = []
-    while k - 1 >= 2 and k > bound:
+    while k > bound:
         if clock.now() >= deadline:
             break
         target = k - 1

@@ -419,9 +419,10 @@ class TestSolveKReduction:
             assert trace == []
 
     def test_clique_bound_only_drops_the_final_failed_level(self, monkeypatch):
-        """Differential: the driver against itself with the bound disabled, on
-        acceptance criterion 2's graphs. Same (k, coloring); the trace loses
-        at most its last, failed level, and only where the bound equals k."""
+        """Differential: the driver against itself with the bound held at two
+        colors, the floor it always had, on acceptance criterion 2's graphs.
+        Same (k, coloring); the trace loses at most its last, failed level,
+        and only where the bound equals k."""
         monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
         skipped = 0
         for i in range(30):
@@ -431,7 +432,7 @@ class TestSolveKReduction:
                 p = params(method=method, wall_budget_seconds=10.0)
                 new_coloring, new_k, new_trace = solve_k_reduction(g, p, seed=1)
                 with monkeypatch.context() as m:
-                    m.setattr(search_module, "clique_lower_bound", lambda g: 0)
+                    m.setattr(search_module, "clique_lower_bound", lambda g: 2)
                     old_coloring, old_k, old_trace = solve_k_reduction(g, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
