@@ -19,7 +19,7 @@ from .heuristics import (chromatic_number_exact, clique_lower_bound, dsatur,
 from .search import (METHODS, FingerprintFifo, SearchOutcome, SolverParams,
                      coloring_fingerprint, hill_climbing, iterated_local_search,
                      project_coloring, simulated_annealing, solve_k_reduction,
-                     tabu_search, tweak)
+                     tabu_search)
 
 __version__ = "0.1.0"
 
@@ -34,5 +34,5 @@ __all__ = [
     "load_instance", "make_clock", "max_degree", "parse_dimacs",
     "project_coloring", "random_bipartite_graph", "random_coloring",
     "random_graph", "render_dimacs", "run_benchmark", "simulated_annealing",
-    "solve_k_reduction", "tabu_search", "tweak",
+    "solve_k_reduction", "tabu_search",
 ]

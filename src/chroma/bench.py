@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, Optional
@@ -20,7 +20,7 @@ from typing import IO, Optional
 from .clock import make_clock
 from .dimacs import InstanceRecord, load_instance, read_reference_table
 from .graph import is_proper
-from .search import METHODS, SearchOutcome, SolverParams, solve_k_reduction
+from .search import METHODS, PARAM_TYPES, SolverParams, solve_k_reduction
 
 CSV_FIELDS = ("instance", "method", "seed", "k_colors", "proper",
               "wall_seconds", "best_known", "diff_percent")
@@ -75,22 +75,29 @@ def write_results(rows: list[RunResult], stream: IO[str], fmt: str = "csv") -> N
 
 
 def read_results_csv(stream: IO[str]) -> list[RunResult]:
+    """Parse a results CSV; a malformed one raises ValueError naming its line."""
+    name = getattr(stream, "name", "results CSV")
     reader = csv.DictReader(stream)
-    missing = [name for name in CSV_FIELDS if name not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"results CSV lacks column(s): {', '.join(missing)}")
     rows = []
-    for rec in reader:
-        rows.append(RunResult(
-            instance=rec["instance"],
-            method=rec["method"],
-            seed=int(rec["seed"]),
-            k_colors=int(rec["k_colors"]),
-            proper=rec["proper"] == "true",
-            wall_seconds=float(rec["wall_seconds"]),
-            best_known=int(rec["best_known"]) if rec["best_known"] else None,
-            diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
-        ))
+    try:
+        missing = [f for f in CSV_FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"lacks column(s): {', '.join(missing)}")
+        for rec in reader:
+            if None in rec or None in rec.values():  # a long or a short row
+                raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            rows.append(RunResult(
+                instance=rec["instance"],
+                method=rec["method"],
+                seed=int(rec["seed"]),
+                k_colors=int(rec["k_colors"]),
+                proper=rec["proper"] == "true",
+                wall_seconds=float(rec["wall_seconds"]),
+                best_known=int(rec["best_known"]) if rec["best_known"] else None,
+                diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
+            ))
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{name}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -106,10 +113,11 @@ class BenchManifest:
     param_overrides: Optional[dict] = None
 
 
-_PARAM_KEYS = {f.name for f in fields(SolverParams)} - {"method", "wall_budget_seconds"}
-_INT_PARAMS = {"hc_iterations", "sa_iterations", "ts_iterations",
-               "ts_tabu_length", "ts_num_tweaks", "ils_queue_length"}
-_BOOL_PARAMS = {"hc_strict", "sa_geometric"}
+# SolverParams fields a manifest key or a `chroma solve` flag of the same name
+# sets, with their declared types; method and wall_budget_seconds have keys and
+# flags of their own (methods/--method, budget/--budget).
+PARAM_OVERRIDES = {name: kind for name, kind in PARAM_TYPES.items()
+                   if name not in ("method", "wall_budget_seconds")}
 _BOOL_VALUES = {"1": True, "true": True, "yes": True,
                 "0": False, "false": False, "no": False}
 
@@ -129,6 +137,18 @@ def _parse_float(where: str, key: str, text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{where}: {key} must be finite, got {text!r}")
     return value
+
+
+def _parse_bool(where: str, key: str, text: str) -> bool:
+    if text.lower() not in _BOOL_VALUES:
+        raise ValueError(f"{where}: {key} must be one of 1/0/true/false/yes/no, "
+                         f"got {text!r}")
+    return _BOOL_VALUES[text.lower()]
+
+
+# Declared type of a solver parameter -> parser of its manifest value.
+_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool,
+            str: lambda where, key, text: text}
 
 
 def parse_manifest(path: str | Path) -> BenchManifest:
@@ -171,18 +191,8 @@ def parse_manifest(path: str | Path) -> BenchManifest:
                                  f"got {value!r}")
         elif key == "references":
             references = value
-        elif key in _PARAM_KEYS:
-            if key in _INT_PARAMS:
-                overrides[key] = _parse_int(where, key, value)
-            elif key in _BOOL_PARAMS:
-                if value.lower() not in _BOOL_VALUES:
-                    raise ValueError(f"{path}:{line_no}: {key} must be one of "
-                                     f"1/0/true/false/yes/no, got {value!r}")
-                overrides[key] = _BOOL_VALUES[value.lower()]
-            elif key == "initializer":
-                overrides[key] = value
-            else:
-                overrides[key] = _parse_float(where, key, value)
+        elif key in PARAM_OVERRIDES:
+            overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
     if not instances:

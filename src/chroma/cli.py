@@ -11,22 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
-from .bench import (InternalInvariantError, compare_report, parse_manifest,
-                    read_results_csv, run_benchmark, run_cell)
+from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
+                    parse_manifest, read_results_csv, run_benchmark, run_cell)
 from .dimacs import DimacsError, load_instance, read_reference_table
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
 from .search import SolverParams
-
-_OVERRIDE_FLAGS = [
-    ("hc-iterations", int), ("sa-iterations", int), ("sa-decrement", float),
-    ("ts-iterations", int), ("ts-tabu-length", int), ("ts-num-tweaks", int),
-    ("ils-inner-seconds", float), ("ils-total-seconds", float),
-    ("ils-queue-length", int), ("ils-perturbation", float),
-]
 
 
 def _positive_int(text: str) -> int:
@@ -50,13 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=float, default=600.0,
                        help="wall budget in seconds (default 600)")
     solve.add_argument("--references", help="override best-known color table")
-    solve.add_argument("--initializer", choices=["dsatur", "random"])
-    solve.add_argument("--hc-strict", action="store_true", default=None,
-                       help="reject equal-cost moves in hill climbing")
-    solve.add_argument("--sa-geometric", action="store_true", default=None,
-                       help="cool by a factor instead of a linear decrement")
-    for flag, kind in _OVERRIDE_FLAGS:
-        solve.add_argument(f"--{flag}", type=kind, default=None)
+    defaults = SolverParams()
+    for name, kind in PARAM_OVERRIDES.items():
+        flag = "--" + name.replace("_", "-")
+        help_text = f"default: {getattr(defaults, name)}"
+        if kind is bool:
+            solve.add_argument(flag, action="store_true", default=None, help=help_text)
+        else:
+            solve.add_argument(flag, type=kind, default=None, help=help_text)
 
     bench = sub.add_parser("bench", help="run a benchmark manifest")
     bench.add_argument("--manifest", required=True)
@@ -77,13 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _params_from_args(args: argparse.Namespace) -> SolverParams:
     overrides = {"method": args.method.upper(), "wall_budget_seconds": args.budget}
-    names = {f.name for f in fields(SolverParams)}
-    for flag, _ in _OVERRIDE_FLAGS:
-        name = flag.replace("-", "_")
-        value = getattr(args, name)
-        if name in names and value is not None:
-            overrides[name] = value
-    for name in ("initializer", "hc_strict", "sa_geometric"):
+    for name in PARAM_OVERRIDES:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

@@ -131,7 +131,14 @@ def read_reference_table(path: str | Path) -> dict[str, int]:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'name colors', got {raw!r}")
-        table[parts[0]] = int(parts[1])
+        try:
+            colors = int(parts[1])
+        except ValueError:
+            colors = 0
+        if colors < 1:
+            raise ValueError(f"{path}:{line_no}: color count must be an integer "
+                             f"of at least 1, got {parts[1]!r}")
+        table[parts[0]] = colors
     return table
 
 

@@ -21,15 +21,17 @@ from __future__ import annotations
 import math
 import random
 import struct
+import typing
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .clock import Clock, make_clock
-from .graph import Coloring, Graph, color_count, conflicted_vertices
+from .graph import Coloring, Graph, color_count
 from .heuristics import clique_lower_bound, dsatur, random_coloring
 
 METHODS = ("HC", "SA", "TS", "ILS")
+INITIALIZERS = ("dsatur", "random")
 
 AcceptHook = Callable[[int, int, float], None]  # (iteration, conflicts, elapsed)
 
@@ -41,6 +43,10 @@ class SolverParams:
     hc_strict, sa_geometric, ils_perturbation and initializer are knobs over
     details the benchmark setup leaves open (plateau acceptance, cooling
     shape, kick strength, initial coloring).
+
+    The fields are the one parameter schema: each is checked by its declared
+    type (PARAM_TYPES), and the `solve` flags and manifest keys are built
+    from them.
     """
 
     method: str = "HC"
@@ -62,23 +68,26 @@ class SolverParams:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("hc_iterations", "sa_iterations", "ts_iterations",
-                     "ts_tabu_length", "ts_num_tweaks", "ils_queue_length"):
+        if self.initializer not in INITIALIZERS:
+            raise ValueError(f"initializer must be one of {INITIALIZERS}, "
+                             f"got {self.initializer!r}")
+        for name, kind in PARAM_TYPES.items():
             value = getattr(self, name)
             # bool is an int subclass; a NaN count never ends a loop (i >= nan is false)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if kind is int and (not isinstance(value, int) or isinstance(value, bool)
+                                or value < 1):
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        for name in ("sa_decrement", "ils_inner_seconds", "ils_total_seconds",
-                     "wall_budget_seconds"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if kind is float and not (isinstance(value, (int, float))
+                                      and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.ils_inner_seconds > self.ils_total_seconds:
             raise ValueError("ils_inner_seconds cannot exceed ils_total_seconds")
-        if not 0.0 < self.ils_perturbation <= 1.0:
+        if self.ils_perturbation > 1.0:
             raise ValueError("ils_perturbation must be in (0, 1]")
-        if self.initializer not in ("dsatur", "random"):
-            raise ValueError(f"initializer must be 'dsatur' or 'random', got {self.initializer!r}")
+
+
+# Field name -> declared type (int, float, bool or str).
+PARAM_TYPES: dict[str, type] = typing.get_type_hints(SolverParams)
 
 
 @dataclass
@@ -234,18 +243,16 @@ def _draw_move(rng: random.Random, colors: Sequence[int], k: int,
     return v, (r if r < old else r + 1)
 
 
-def tweak(g: Graph, colors: Sequence[int], k: int, rng: random.Random) -> Coloring:
-    """Copy of `colors` recolored at exactly one vertex (see _draw_move)."""
-    if k < 2:
-        raise ValueError("tweak needs a palette of at least 2 colors")
-    conflicted = sorted(conflicted_vertices(g, colors))
-    v, new = _draw_move(rng, colors, k, conflicted)
-    out = list(colors)
-    out[v] = new
-    return out
+def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
+             clock: Optional[Clock]) -> tuple[Clock, random.Random, float, _ConflictState]:
+    """Common start of every search: (clock, rng, start time, state).
 
-
-def _prepare(g: Graph, k: int, init: Sequence[int], clock: Clock) -> _ConflictState:
+    Validates the palette and the initial coloring, and counts the initial
+    state as the first objective evaluation.
+    """
+    clock = clock if clock is not None else make_clock()
+    rng = random.Random(seed)
+    t0 = clock.now()
     if k < 2:
         raise ValueError(f"fixed-palette search needs k >= 2, got {k}")
     if len(init) != g.vertex_count:
@@ -255,17 +262,24 @@ def _prepare(g: Graph, k: int, init: Sequence[int], clock: Clock) -> _ConflictSt
     if any(not 0 <= c < k for c in init):
         raise ValueError(f"initial coloring uses colors outside 0..{k - 1}")
     state = _ConflictState(g, init)
-    clock.tick()  # counts as the initial objective evaluation
-    return state
+    clock.tick()
+    return clock, rng, t0, state
 
 
-def _climb(g: Graph, k: int, state: _ConflictState, *, rng: random.Random,
-           clock: Clock, t_origin: float, iterations: Optional[int] = None,
+def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
+           t_origin: float, iterations: Optional[int] = None,
            stop_at: Optional[float] = None, strict: bool = False,
+           schedule: Optional[Callable[[int], float]] = None,
            on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
-    """Tweak/accept descent shared by hill climbing and the ILS inner search.
+    """The tweak/accept loop of hill climbing, simulated annealing and the
+    ILS inner search.
 
-    Accepts non-worsening moves (strictly improving ones when `strict`);
+    Move i (counted from 1) of cost d is accepted when d < 0, or d == 0 and
+    not `strict`. A worsening move is rejected without a schedule; with one
+    it is accepted with probability exp(-d / t) at t = schedule(i), never at
+    t <= 0. rng.random() is drawn only in that last, probabilistic case, so
+    at zero temperature the move stream is that of plateau hill climbing.
+    Stops at a zero-conflict state, after `iterations` moves or at `stop_at`;
     returns (best coloring, its conflicts, evaluations performed).
     """
     best = list(state.colors)
@@ -282,7 +296,11 @@ def _climb(g: Graph, k: int, state: _ConflictState, *, rng: random.Random,
         d = state.delta(v, new)
         clock.tick()
         evals += 1
-        accept = (d < 0) if strict else (d <= 0)
+        if d > 0:
+            t = schedule(i) if schedule is not None else 0.0
+            accept = t > 0.0 and rng.random() < math.exp(-d / t)
+        else:
+            accept = d < 0 or not strict
         if accept:
             state.apply(v, new)
             if state.total < best_conf:
@@ -298,12 +316,9 @@ def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                   deadline: Optional[float] = None,
                   on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
     """Fixed-iteration descent accepting any non-worsening tweak."""
-    clock = clock if clock is not None else make_clock()
-    rng = random.Random(seed)
-    t0 = clock.now()
-    state = _prepare(g, k, init, clock)
+    clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best, best_conf, evals = _climb(
-        g, k, state, rng=rng, clock=clock, t_origin=t0,
+        k, state, rng=rng, clock=clock, t_origin=t0,
         iterations=params.hc_iterations, stop_at=deadline,
         strict=params.hc_strict, on_accept=on_accept,
     )
@@ -315,53 +330,27 @@ def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverPar
                         deadline: Optional[float] = None,
                         on_accept: Optional[AcceptHook] = None,
                         schedule: Optional[Callable[[int], float]] = None) -> SearchOutcome:
-    """Metropolis acceptance under a linearly decreasing temperature.
+    """Metropolis acceptance (see _climb) under a linearly decreasing
+    temperature.
 
     The initial temperature is sa_iterations * sa_decrement, so the linear
-    schedule hits exactly zero on the final iteration; a worsening move of
-    cost d is accepted with probability exp(-d / t), never at t <= 0. The
-    geometric alternative cools by a factor (1 - sa_decrement) per step.
-    `schedule` overrides the temperature curve (used by tests).
+    schedule hits exactly zero on the final iteration. The geometric
+    alternative cools by a factor (1 - sa_decrement) per step. `schedule`
+    overrides the temperature curve (used by tests).
     """
-    clock = clock if clock is not None else make_clock()
-    rng = random.Random(seed)
-    t0 = clock.now()
-    state = _prepare(g, k, init, clock)
-    evals = 1
-    best = list(state.colors)
-    best_conf = state.total
+    clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     t_initial = params.sa_iterations * params.sa_decrement
     if schedule is None:
         if params.sa_geometric:
             schedule = lambda i: t_initial * (1.0 - params.sa_decrement) ** i
         else:
             schedule = lambda i: t_initial - i * params.sa_decrement
-    for i in range(1, params.sa_iterations + 1):
-        if best_conf == 0:
-            break
-        if deadline is not None and clock.now() >= deadline:
-            break
-        t = schedule(i)
-        v, new = _draw_move(rng, state.colors, k, state.sorted_conflicted())
-        d = state.delta(v, new)
-        clock.tick()
-        evals += 1
-        if d <= 0:
-            accept = True
-        elif t > 0.0:
-            # rng.random() is only consumed when the outcome is actually
-            # probabilistic, keeping the stream aligned with hill climbing
-            accept = rng.random() < math.exp(-d / t)
-        else:
-            accept = False
-        if accept:
-            state.apply(v, new)
-            if state.total < best_conf:
-                best_conf = state.total
-                best = list(state.colors)
-            if on_accept is not None:
-                on_accept(i, state.total, clock.now() - t0)
-    return SearchOutcome(best, best_conf, evals, clock.now() - t0)
+    best, best_conf, evals = _climb(
+        k, state, rng=rng, clock=clock, t_origin=t0,
+        iterations=params.sa_iterations, stop_at=deadline,
+        schedule=schedule, on_accept=on_accept,
+    )
+    return SearchOutcome(best, best_conf, evals + 1, clock.now() - t0)
 
 
 def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
@@ -379,10 +368,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     _zobrist_table): the current coloring's hash is kept up to date, and a
     candidate's is derived from it in O(1) without touching the coloring.
     """
-    clock = clock if clock is not None else make_clock()
-    rng = random.Random(seed)
-    t0 = clock.now()
-    state = _prepare(g, k, init, clock)
+    clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
     best = list(state.colors)
     best_conf = state.total
@@ -449,10 +435,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     home-base queue becomes the new home base; the next climb starts from the
     home base with a perturbation kick applied.
     """
-    clock = clock if clock is not None else make_clock()
-    rng = random.Random(seed)
-    t0 = clock.now()
-    state = _prepare(g, k, init, clock)
+    clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
     best = list(state.colors)
     best_conf = state.total
@@ -474,8 +457,8 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         clock.tick()
         evals += 1
         inner_best, inner_conf, inner_evals = _climb(
-            g, k, inner_state, rng=rng, clock=clock, t_origin=t0,
-            stop_at=inner_stop, strict=False, on_accept=on_accept,
+            k, inner_state, rng=rng, clock=clock, t_origin=t0,
+            stop_at=inner_stop, on_accept=on_accept,
         )
         evals += inner_evals
         if inner_conf < best_conf:

@@ -1,10 +1,13 @@
 import io
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chroma import render_dimacs
-from chroma.bench import (BenchManifest, InternalInvariantError, RunResult,
-                          compare_report, diff_percent, parse_manifest,
+from chroma.bench import (PARAM_OVERRIDES, BenchManifest, InternalInvariantError,
+                          RunResult, compare_report, diff_percent, parse_manifest,
                           run_benchmark, run_cell)
 from chroma.dimacs import load_instance
 from chroma.search import SolverParams
@@ -97,6 +100,45 @@ class TestManifest:
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             parse_manifest(path)
+
+    def test_every_default_written_out_reads_back(self, tmp_path):
+        # the manifest keys are read from the SolverParams schema: each field's
+        # default, written as `name = <default>`, must parse to that default
+        defaults = SolverParams()
+        lines = ["instances = a.col", f"methods = {defaults.method}",
+                 f"budget = {defaults.wall_budget_seconds}"]
+        lines += [f"{name} = {getattr(defaults, name)}" for name in PARAM_OVERRIDES]
+        path = tmp_path / "defaults.manifest"
+        path.write_text("\n".join(lines) + "\n")
+        m = parse_manifest(path)
+        assert set(PARAM_OVERRIDES) | {"method", "wall_budget_seconds"} == {
+            f.name for f in fields(SolverParams)}
+        assert m.param_overrides == {name: getattr(defaults, name)
+                                     for name in PARAM_OVERRIDES}
+        assert m.methods == [defaults.method]
+        assert m.budget_seconds == defaults.wall_budget_seconds
+        assert SolverParams(method=m.methods[0], wall_budget_seconds=m.budget_seconds,
+                            **m.param_overrides) == defaults
+
+    _KEYS = ["instances", "methods", "seeds", "budget", "references", "method",
+             "wall_budget_seconds", "nonsense", *PARAM_OVERRIDES]
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.text(max_size=30),
+        st.tuples(st.sampled_from(_KEYS),
+                  st.one_of(st.text(max_size=10),
+                            st.sampled_from(["1", "0", "-1", "2.5", "nan", "inf",
+                                             "true", "hc, ts", "a.col", "1, x"])),
+                  ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    ), max_size=10))
+    def test_fuzzed_manifest_raises_nothing_but_value_error(self, tmp_path, lines):
+        path = tmp_path / "fuzz.manifest"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            parse_manifest(path)
+        except ValueError:
+            pass
 
 
 def _write_instance(tmp_path, name, n, edges):

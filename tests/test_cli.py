@@ -1,9 +1,11 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from chroma import render_dimacs
-from chroma.cli import main
+from chroma import SolverParams, render_dimacs
+from chroma.cli import _build_parser, _params_from_args, main
 
 from conftest import DATA_DIR
 
@@ -39,6 +41,34 @@ class TestSolve:
                                "--sa-iterations", "200", "--initializer", "random")
         assert code == 0
         assert "k=" in out
+
+    def test_flags_are_the_solver_params_schema(self):
+        # one --name-with-dashes per SolverParams field, except method and
+        # wall_budget_seconds, which are --method and --budget
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["solve"]._actions
+                 for opt in action.option_strings} - {"-h", "--help"}
+        expected = {"--" + f.name.replace("_", "-") for f in fields(SolverParams)
+                    if f.name not in ("method", "wall_budget_seconds")}
+        assert flags == expected | {"--method", "--seed", "--budget", "--references"}
+
+    def test_flags_set_their_fields_and_leave_the_rest_default(self):
+        args = _build_parser().parse_args(
+            ["solve", "x.col", "--method", "sa", "--budget", "9", "--hc-strict",
+             "--ts-tabu-length", "7", "--sa-decrement", "0.5", "--initializer", "random"])
+        assert _params_from_args(args) == SolverParams(
+            method="SA", wall_budget_seconds=9.0, hc_strict=True, ts_tabu_length=7,
+            sa_decrement=0.5, initializer="random")
+        args = _build_parser().parse_args(["solve", "x.col", "--method", "hc"])
+        assert _params_from_args(args) == SolverParams()
+
+    def test_unknown_initializer_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
+                                 "--method", "hc", "--initializer", "greedy")
+        assert code == 2
+        assert out == ""
+        assert "initializer" in err and "greedy" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "no-such-file.col",
@@ -179,6 +209,20 @@ class TestBenchAndReport:
         assert out == ""
         assert "seed" in err and "best_known" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("a,HC", ":3: expected 8 fields"),
+        ("tri,HC,x,3,true,0.001,,", ":3: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_report_malformed_row_exits_2_naming_its_line(self, capsys, tmp_path,
+                                                          row, message):
+        results = tmp_path / "results.csv"
+        results.write_text("instance,method,seed,k_colors,proper,wall_seconds,"
+                           f"best_known,diff_percent\ntri,HC,1,3,true,0.001,,\n{row}\n")
+        code, out, err = run_cli(capsys, "report", "--in", str(results))
+        assert code == 2
+        assert out == ""
+        assert f"error: {results}{message}" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_rejected(self, capsys, tmp_path, jobs):

@@ -3,10 +3,12 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from chroma import (BEST_KNOWN_COLORS, DimacsError, load_instance,
                     parse_dimacs, render_dimacs)
-from chroma.bench import RunResult, read_results_csv, write_results
+from chroma.bench import CSV_FIELDS, RunResult, read_results_csv, write_results
+from chroma.dimacs import read_reference_table
 
 from conftest import edge_lists
 
@@ -92,6 +94,19 @@ class TestParse:
         assert parsed.edges == [(0, 1)]
         assert any("unknown line type 'n'" in w for w in parsed.warnings)
 
+    @given(st.lists(st.one_of(
+        st.text(max_size=20),
+        st.lists(st.sampled_from(["p", "edge", "col", "e", "c", "0", "1", "2",
+                                  "3", "-1", "x", "2.5", "99999"]),
+                 max_size=5).map(" ".join),
+    ), max_size=12).map("\n".join))
+    def test_fuzzed_text_raises_nothing_but_value_error(self, text):
+        # only the parse: build_graph would allocate per declared vertex
+        try:
+            parse_dimacs(text)
+        except ValueError:
+            pass
+
     @given(edge_lists(min_n=1, max_n=10))
     def test_render_parse_round_trip(self, drawn):
         n, edges = drawn
@@ -145,6 +160,20 @@ SAMPLE_ROWS = [
 ]
 
 
+class TestReferenceTable:
+    def test_reads_name_count_pairs(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("# best known\ntoy20 4\nDSJC125.1, 5\n")
+        assert read_reference_table(path) == {"toy20": 4, "DSJC125.1": 5}
+
+    @pytest.mark.parametrize("count", ["x", "0", "-3", "4.5"])
+    def test_bad_count_names_its_line(self, tmp_path, count):
+        path = tmp_path / "refs.txt"
+        path.write_text(f"toy20 4\ntoy30 {count}\n")
+        with pytest.raises(ValueError, match=rf"refs\.txt:2: .*'{count}'"):
+            read_reference_table(path)
+
+
 class TestWriteResults:
     def test_csv_header_only_when_empty(self):
         out = io.StringIO()
@@ -189,3 +218,39 @@ class TestWriteResults:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             write_results([], io.StringIO(), fmt="xml")
+
+
+HEADER = ",".join(CSV_FIELDS) + "\n"
+
+
+class TestReadResults:
+    def test_short_row_names_its_line(self):
+        stream = io.StringIO(HEADER + "tri,HC,1,3,true,0.001,,\na,HC\n")
+        with pytest.raises(ValueError, match="results CSV:3: expected 8 fields"):
+            read_results_csv(stream)
+
+    def test_long_row_names_its_line(self):
+        stream = io.StringIO(HEADER + "tri,HC,1,3,true,0.001,,,extra\n")
+        with pytest.raises(ValueError, match="results CSV:2: expected 8 fields"):
+            read_results_csv(stream)
+
+    @pytest.mark.parametrize("row,bad", [
+        ("tri,HC,x,3,true,0.001,,", "'x'"),
+        ("tri,HC,1,three,true,0.001,,", "'three'"),
+        ("tri,HC,1,3,true,fast,,", "'fast'"),
+        ("tri,HC,1,3,true,0.001,2.5,", "'2.5'"),
+    ])
+    def test_malformed_value_names_its_line(self, row, bad):
+        stream = io.StringIO(HEADER + "tri,HC,1,3,true,0.001,,\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"results CSV:3: .*{bad}"):
+            read_results_csv(stream)
+
+    @given(st.lists(st.lists(st.text(alphabet="0123456789.-,\"\n\r\x00 truefalseHC",
+                                     max_size=8), max_size=10), max_size=6),
+           st.booleans())
+    def test_fuzzed_rows_raise_nothing_but_value_error(self, rows, with_header):
+        text = "\n".join(",".join(cells) for cells in rows)
+        try:
+            read_results_csv(io.StringIO((HEADER if with_header else "") + text))
+        except ValueError:
+            pass

@@ -12,7 +12,7 @@ from chroma import (METHODS, FingerprintFifo, SolverParams, VirtualClock,
                     coloring_fingerprint, conflict_count, conflicted_vertices,
                     dsatur, hill_climbing, is_proper, iterated_local_search,
                     project_coloring, random_graph, simulated_annealing,
-                    solve_k_reduction, tabu_search, tweak)
+                    solve_k_reduction, tabu_search)
 
 from conftest import graphs
 
@@ -104,31 +104,40 @@ class TestFingerprintFifo:
 
 
 class TestTweak:
+    """The move every search draws (_draw_move), on the triangle."""
+
+    @staticmethod
+    def draw(g, colors, k, rng):
+        return search_module._draw_move(rng, colors, k,
+                                        sorted(conflicted_vertices(g, colors)))
+
     def test_changes_exactly_one_conflicted_vertex(self, k3):
         rng = random.Random(0)
         for _ in range(50):
-            out = tweak(k3, [0, 0, 1], 3, rng)
-            changed = [v for v in range(3) if out[v] != [0, 0, 1][v]]
-            assert len(changed) == 1
-            assert changed[0] in {0, 1}, "vertex 2 is not conflicted"
+            v, new = self.draw(k3, [0, 0, 1], 3, rng)
+            assert v in {0, 1}, "vertex 2 is not conflicted"
+            assert new != [0, 0, 1][v]
 
     def test_proper_coloring_changes_any_single_vertex(self, k3):
         rng = random.Random(1)
-        out = tweak(k3, [0, 1, 2], 3, rng)
-        assert sum(1 for v in range(3) if out[v] != [0, 1, 2][v]) == 1
+        seen = set()
+        for _ in range(50):
+            v, new = self.draw(k3, [0, 1, 2], 3, rng)
+            assert new != [0, 1, 2][v]
+            seen.add(v)
+        assert seen == {0, 1, 2}
 
     def test_new_color_always_differs_and_fits_palette(self, k3):
         rng = random.Random(2)
         colors = [0, 0, 1]
         for _ in range(200):
-            out = tweak(k3, colors, 4, rng)
-            v = next(i for i in range(3) if out[i] != colors[i])
-            assert out[v] != colors[v]
-            assert 0 <= out[v] < 4
+            v, new = self.draw(k3, colors, 4, rng)
+            assert new != colors[v]
+            assert 0 <= new < 4
 
     def test_needs_two_colors(self, k3):
         with pytest.raises(ValueError):
-            tweak(k3, [0, 0, 0], 1, random.Random(0))
+            self.draw(k3, [0, 0, 0], 1, random.Random(0))
 
     def test_uniform_over_conflicted_vertices_and_colors(self, k3):
         # fixed input [0,0,1]: conflicted {0,1}, each with 2 alternative colors
@@ -138,10 +147,10 @@ class TestTweak:
         counts: dict[tuple[int, int], int] = {}
         base = [0, 0, 1]
         for _ in range(samples):
-            out = tweak(k3, base, 3, rng)
-            v = next(i for i in range(3) if out[i] != base[i])
-            counts[(v, out[v])] = counts.get((v, out[v]), 0) + 1
+            move = self.draw(k3, base, 3, rng)
+            counts[move] = counts.get(move, 0) + 1
         assert set(v for v, _ in counts) == {0, 1}
+        assert all(new != base[v] for v, new in counts)
         expected = samples / 4
         sigma = (samples * 0.25 * 0.75) ** 0.5
         for pair, count in counts.items():
