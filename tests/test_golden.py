@@ -84,12 +84,76 @@ VARIANTS = {
 }
 
 
-def level_summary(method: str, n: int, seed: int, extra=()):
-    g = random_graph(n, 0.5, seed)
+# The same on sparse and dense graphs: (method, n, seed, p) -> as in GOLDEN,
+# plus the sha256 of repr of every level's best coloring, which pins the
+# trajectory of a failed level too (its final coloring is DSatur's on most of
+# the sparse cases). Recorded before `_ConflictState` kept the gamma table.
+DENSITY = {
+    ("HC", 60, 1, 0.1): (4, ((7, 5001),),
+        "f7d45bad9e1a866277848b9f473360f495f1451c55ba1b618a3f4d13240c9de2",
+        "9ee0d8f757ebbe20e9210dd56a76da83818e58610552566254d90e2273517582"),
+    ("HC", 60, 2, 0.1): (4, ((6, 5001),),
+        "bb08c59d3a824fbd50c81256c891fe74e6b03c6b7adf315a910b0f706d41225f",
+        "d4d09219982d13eaf867fbb336aeeab629b7ec2c90033e3ef6a1ba14c1b84226"),
+    ("SA", 60, 1, 0.1): (4, ((12, 10001),),
+        "f7d45bad9e1a866277848b9f473360f495f1451c55ba1b618a3f4d13240c9de2",
+        "de1487df43b75556760645f116bd2ac8e12541b2bf04080eb9a2fe0926e46516"),
+    ("SA", 60, 2, 0.1): (4, ((10, 10001),),
+        "bb08c59d3a824fbd50c81256c891fe74e6b03c6b7adf315a910b0f706d41225f",
+        "2e9a4c7cd773d14b97250b4aaab6b70caaaf7f92c639b2d0b21b21a4435fd178"),
+    ("TS", 60, 1, 0.1): (4, ((6, 20001),),
+        "f7d45bad9e1a866277848b9f473360f495f1451c55ba1b618a3f4d13240c9de2",
+        "1b993e516b74a019263738953c103aead4945c45f36f2cd51afd8977a18760ec"),
+    ("TS", 60, 2, 0.1): (4, ((5, 20001),),
+        "bb08c59d3a824fbd50c81256c891fe74e6b03c6b7adf315a910b0f706d41225f",
+        "89842ea06c0ef3884238c331fefb0b535437e03999cace234b01a333d5ab9ae7"),
+    ("ILS", 60, 1, 0.1): (4, ((7, 100003),),
+        "f7d45bad9e1a866277848b9f473360f495f1451c55ba1b618a3f4d13240c9de2",
+        "9ee0d8f757ebbe20e9210dd56a76da83818e58610552566254d90e2273517582"),
+    ("ILS", 60, 2, 0.1): (4, ((6, 100003),),
+        "bb08c59d3a824fbd50c81256c891fe74e6b03c6b7adf315a910b0f706d41225f",
+        "d4d09219982d13eaf867fbb336aeeab629b7ec2c90033e3ef6a1ba14c1b84226"),
+    ("HC", 60, 1, 0.9): (26, ((0, 278), (2, 5001)),
+        "d274b2ff25f0ef63a2aa20b9c07ba6d83756d3de4b8a4755bfe77d02cf25bdc5",
+        "07657a3fa2a83d12f9eb8d8fb6df7ed743f7c184d734d070a19db13b833c7a40"),
+    ("HC", 60, 2, 0.9): (26, ((0, 181), (2, 5001)),
+        "e8a768d398e2fd3b65031ec1108cc016725154100efd9eec931473956ee00d62",
+        "bb82fe0a22f2ef6c7e18d7f61f5a82b99e7931c902631bd82f4444fb63ff1286"),
+    ("SA", 60, 1, 0.9): (27, ((1, 10001),),
+        "18796561678fb9444618e82646a7ddaa203e18a92b61720d674f9d38e54c06b6",
+        "3dad87087e6ee894f9c760df519179a8d266bb024f1b126f22f1316642e1c356"),
+    ("SA", 60, 2, 0.9): (27, ((2, 10001),),
+        "137f2ff5e29e14a23047a7e3cba701ffa597f905a8532cf1cbbf58ccb9ca9079",
+        "7423bd7fb4c69c1ad07d0ad7259173c52f75b1445860285d749ce2ded86a27a6"),
+    ("TS", 60, 1, 0.9): (27, ((1, 20001),),
+        "18796561678fb9444618e82646a7ddaa203e18a92b61720d674f9d38e54c06b6",
+        "3dad87087e6ee894f9c760df519179a8d266bb024f1b126f22f1316642e1c356"),
+    ("TS", 60, 2, 0.9): (26, ((0, 8771), (2, 20001)),
+        "96d71565c5035adb93a36ad3a6478d77bb59c33b1660d3a8f793a494d260223e",
+        "fd981dff27e8c367a623128f991be4e2e9544b012b63ad9ae3a0773afc46ae02"),
+    ("ILS", 60, 1, 0.9): (26, ((0, 279), (1, 100001)),
+        "d274b2ff25f0ef63a2aa20b9c07ba6d83756d3de4b8a4755bfe77d02cf25bdc5",
+        "f591835460c7c5ea2338187fbcd6fb54fa3cbaf5e0ce6222cbb1c7520e14af83"),
+    ("ILS", 60, 2, 0.9): (26, ((0, 182), (1, 100001)),
+        "e8a768d398e2fd3b65031ec1108cc016725154100efd9eec931473956ee00d62",
+        "4a38ca38b5cf305a35f3e43e7b8815a947c28e41f1a5fffba927ab3e33b0b2f2"),
+}
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def solve(method: str, n: int, seed: int, extra=(), p: float = 0.5):
+    g = random_graph(n, p, seed)
     params = SolverParams(method=method, **OVERRIDES[method], **dict(extra))
-    coloring, k, trace = solve_k_reduction(g, params, seed)
+    return solve_k_reduction(g, params, seed)
+
+
+def level_summary(method: str, n: int, seed: int, extra=()):
+    coloring, k, trace = solve(method, n, seed, extra)
     levels = tuple((o.conflicts, o.evaluations) for o in trace)
-    return k, levels, hashlib.sha256(repr(coloring).encode()).hexdigest()
+    return k, levels, digest(coloring)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -103,6 +167,15 @@ def test_golden_trajectory(case, monkeypatch):
 def test_golden_variant_trajectory(case, monkeypatch):
     monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
     assert level_summary(*case) == VARIANTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY), ids=lambda c: "-".join(map(str, c)))
+def test_golden_density_trajectory(case, monkeypatch):
+    monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+    method, n, seed, p = case
+    coloring, k, trace = solve(method, n, seed, p=p)
+    levels = tuple((o.conflicts, o.evaluations) for o in trace)
+    assert (k, levels, digest(coloring), digest([o.coloring for o in trace])) == DENSITY[case]
 
 
 def zobrist_from_scratch(table, colors) -> int:
