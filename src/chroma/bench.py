@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -86,6 +87,8 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
         for rec in reader:
             if None in rec or None in rec.values():  # a long or a short row
                 raise ValueError(f"expected {len(reader.fieldnames)} fields")
+            if rec["proper"] not in ("true", "false"):
+                raise ValueError(f"proper must be true or false, got {rec['proper']!r}")
             rows.append(RunResult(
                 instance=rec["instance"],
                 method=rec["method"],
@@ -155,7 +158,9 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     """Parse a flat key=value manifest; '#' starts a comment, lists use commas.
 
     Recognized keys: instances, methods, seeds, budget, references, and any
-    solver parameter name (hc_iterations, sa_decrement, ...).
+    solver parameter name (hc_iterations, sa_decrement, ...). The solver
+    parameters are checked together as SolverParams; an error names the line
+    of the last override it mentions.
     """
     path = Path(path)
     instances: list[str] = []
@@ -164,6 +169,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     budget = 600.0
     references = None
     overrides: dict = {}
+    override_lines: dict[str, str] = {}  # key -> path:line, in order of last setting
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -193,8 +199,16 @@ def parse_manifest(path: str | Path) -> BenchManifest:
             references = value
         elif key in PARAM_OVERRIDES:
             overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)
+            override_lines.pop(key, None)
+            override_lines[key] = where
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
+    try:
+        SolverParams(wall_budget_seconds=budget, **overrides)
+    except ValueError as exc:
+        named = set(re.findall(r"\w+", str(exc)))
+        keys = [key for key in override_lines if key in named] or list(override_lines)
+        raise ValueError(f"{override_lines[keys[-1]]}: {exc}") from None
     if not instances:
         raise ValueError(f"{path}: manifest names no instances")
     if not methods:

@@ -22,6 +22,7 @@ import math
 import random
 import struct
 import typing
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -163,79 +164,70 @@ class FingerprintFifo:
 
 
 class _ConflictState:
-    """Working coloring with incrementally maintained conflict bookkeeping.
+    """Working coloring with the TabuCol gamma table (Hertz & de Werra 1987;
+    Galinier & Hao 1999).
 
-    conflicts_at[v] counts v's neighbors sharing its color; `total` is the
-    number of monochromatic edges (half the sum); `conflicted` the vertices
-    with conflicts_at > 0.
+    gamma[c][v] counts v's neighbors colored c. It is stored by color, so a
+    recoloring from old to new touches only rows old and new, and the cost
+    of a move is two lookups. v's own conflicts are gamma[colors[v]][v];
+    `total` is the number of monochromatic edges; `conflicted` lists the
+    vertices with any conflict in increasing order, so a draw by index picks
+    the vertex it would pick from sorted() of the set.
     """
 
-    __slots__ = ("g", "colors", "conflicts_at", "conflicted", "total")
+    __slots__ = ("g", "colors", "gamma", "conflicted", "total")
 
-    def __init__(self, g: Graph, colors: Sequence[int]):
+    def __init__(self, g: Graph, k: int, colors: Sequence[int]):
         self.g = g
-        self.colors = list(colors)
-        conflicts_at = [0] * g.vertex_count
-        total = 0
-        for u in range(g.vertex_count):
-            cu = self.colors[u]
-            hits = 0
-            for v in g.adjacency[u]:
-                if self.colors[v] == cu:
-                    hits += 1
-            conflicts_at[u] = hits
-            total += hits
-        self.conflicts_at = conflicts_at
-        self.total = total // 2
-        self.conflicted = {v for v in range(g.vertex_count) if conflicts_at[v]}
-
-    def sorted_conflicted(self) -> list[int]:
-        return sorted(self.conflicted)
+        self.colors = colors = list(colors)
+        gamma = [[0] * g.vertex_count for _ in range(k)]
+        for v, neighbors in enumerate(g.adjacency):
+            row = gamma[colors[v]]  # v is a neighbor of each u colored colors[v]
+            for u in neighbors:
+                row[u] += 1
+        self.gamma = gamma
+        own = [gamma[c][v] for v, c in enumerate(colors)]
+        self.total = sum(own) // 2
+        self.conflicted = [v for v, hits in enumerate(own) if hits]
 
     def delta(self, v: int, new_color: int) -> int:
         """Change in total conflicts if v were recolored to new_color."""
-        colors = self.colors
-        old = colors[v]
-        d = 0
-        for u in self.g.adjacency[v]:
-            cu = colors[u]
-            if cu == old:
-                d -= 1
-            elif cu == new_color:
-                d += 1
-        return d
+        gamma = self.gamma
+        return gamma[new_color][v] - gamma[self.colors[v]][v]
 
     def apply(self, v: int, new_color: int) -> None:
         colors = self.colors
-        conflicts_at = self.conflicts_at
         conflicted = self.conflicted
         old = colors[v]
-        new_at = 0
+        out_col = self.gamma[old]
+        in_col = self.gamma[new_color]
         for u in self.g.adjacency[v]:
-            cu = colors[u]
-            if cu == old:
-                conflicts_at[u] -= 1
-                if conflicts_at[u] == 0:
-                    conflicted.discard(u)
-            elif cu == new_color:
-                new_at += 1
-                conflicts_at[u] += 1
-                conflicted.add(u)
-        self.total += new_at - conflicts_at[v]
-        conflicts_at[v] = new_at
-        if new_at:
-            conflicted.add(v)
-        else:
-            conflicted.discard(v)
+            left = out_col[u] - 1
+            out_col[u] = left
+            joined = in_col[u] + 1
+            in_col[u] = joined
+            # u's own count is left if u is colored old, joined if new
+            if not left and colors[u] == old:
+                del conflicted[bisect_left(conflicted, u)]
+            elif joined == 1 and colors[u] == new_color:
+                insort(conflicted, u)
+        was, now = out_col[v], in_col[v]
+        self.total += now - was
+        if was and not now:
+            del conflicted[bisect_left(conflicted, v)]
+        elif now and not was:
+            insort(conflicted, v)
         colors[v] = new_color
 
 
 def _draw_move(rng: random.Random, colors: Sequence[int], k: int,
-               conflicted_sorted: Sequence[int]) -> tuple[int, int]:
+               conflicted: Sequence[int]) -> tuple[int, int]:
     """Draw (vertex, new color): vertex uniform over the conflicted set when
-    nonempty, otherwise over all vertices; color uniform over the k-1 others."""
-    if conflicted_sorted:
-        v = conflicted_sorted[rng.randrange(len(conflicted_sorted))]
+    nonempty, otherwise over all vertices; color uniform over the k-1 others.
+
+    `conflicted` must be in increasing order: the draw picks by index."""
+    if conflicted:
+        v = conflicted[rng.randrange(len(conflicted))]
     else:
         v = rng.randrange(len(colors))
     r = rng.randrange(k - 1)
@@ -261,7 +253,7 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
         )
     if any(not 0 <= c < k for c in init):
         raise ValueError(f"initial coloring uses colors outside 0..{k - 1}")
-    state = _ConflictState(g, init)
+    state = _ConflictState(g, k, init)
     clock.tick()
     return clock, rng, t0, state
 
@@ -292,7 +284,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
         if stop_at is not None and clock.now() >= stop_at:
             break
         i += 1
-        v, new = _draw_move(rng, state.colors, k, state.sorted_conflicted())
+        v, new = _draw_move(rng, state.colors, k, state.conflicted)
         d = state.delta(v, new)
         clock.tick()
         evals += 1
@@ -382,7 +374,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             break
         if deadline is not None and clock.now() >= deadline:
             break
-        conflicted = state.sorted_conflicted()
+        conflicted = state.conflicted
         colors = state.colors
         chosen: Optional[tuple[int, int, int, int]] = None  # (conflicts, v, color, fp)
         for _ in range(params.ts_num_tweaks):
@@ -453,7 +445,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         inner_stop = now + params.ils_inner_seconds
         if deadline is not None:
             inner_stop = min(inner_stop, deadline)
-        inner_state = _ConflictState(g, current)
+        inner_state = _ConflictState(g, k, current)
         clock.tick()
         evals += 1
         inner_best, inner_conf, inner_evals = _climb(

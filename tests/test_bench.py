@@ -94,12 +94,32 @@ class TestManifest:
          r"bad\.manifest:3: seeds must be an integer, got 'two'"),
         ("instances = a.col\nmethods = hc\nbudget = soon\n",
          r"bad\.manifest:3: budget must be a number, got 'soon'"),
+        # values that parse but that SolverParams rejects
+        ("instances = a.col\nmethods = hc\nhc_iterations = 0\n",
+         r"bad\.manifest:3: hc_iterations must be an integer of at least 1, got 0"),
+        ("instances = a.col\nmethods = hc\nseeds = 1\nils_perturbation = 2\n",
+         r"bad\.manifest:4: ils_perturbation must be in \(0, 1\]"),
+        ("instances = a.col\nmethods = hc\ninitializer = greedy\n",
+         r"bad\.manifest:3: initializer must be one of"),
+        ("instances = a.col\nmethods = hc\nils_total_seconds = 5\nhc_strict = 1\n",
+         r"bad\.manifest:3: ils_inner_seconds cannot exceed ils_total_seconds"),
+        ("instances = a.col\nmethods = hc\nils_inner_seconds = 50\n"
+         "ils_total_seconds = 60\nils_inner_seconds = 70\n",
+         r"bad\.manifest:5: ils_inner_seconds cannot exceed ils_total_seconds"),
     ])
     def test_rejects_malformed(self, tmp_path, text, match):
         path = tmp_path / "bad.manifest"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
             parse_manifest(path)
+
+    def test_overrides_are_checked_together(self, tmp_path):
+        # ils_total_seconds = 5 alone would fall below the default inner 10 s
+        path = tmp_path / "ils.manifest"
+        path.write_text("instances = a.col\nmethods = ils\n"
+                        "ils_total_seconds = 5\nils_inner_seconds = 2\n")
+        assert parse_manifest(path).param_overrides == {
+            "ils_total_seconds": 5.0, "ils_inner_seconds": 2.0}
 
     def test_every_default_written_out_reads_back(self, tmp_path):
         # the manifest keys are read from the SolverParams schema: each field's

@@ -195,6 +195,16 @@ class TestBenchAndReport:
         assert f"{manifest}:3" in err
         assert "treu" in err
 
+    def test_override_solver_params_rejects_exits_2_naming_its_line(self, capsys,
+                                                                    tmp_path):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text("instances = a.col\nmethods = hc\nhc_iterations = 0\n")
+        code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"error: {manifest}:3: hc_iterations must be an integer" in err
+        assert "Traceback" not in err
+
     def test_nan_budget_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
                                "--method", "hc", "--budget", "nan")
@@ -213,6 +223,7 @@ class TestBenchAndReport:
     @pytest.mark.parametrize("row,message", [
         ("a,HC", ":3: expected 8 fields"),
         ("tri,HC,x,3,true,0.001,,", ":3: invalid literal for int() with base 10: 'x'"),
+        ("tri,HC,1,3,TRUE,0.001,,", ":3: proper must be true or false, got 'TRUE'"),
     ])
     def test_report_malformed_row_exits_2_naming_its_line(self, capsys, tmp_path,
                                                           row, message):

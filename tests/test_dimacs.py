@@ -245,6 +245,18 @@ class TestReadResults:
         with pytest.raises(ValueError, match=f"results CSV:3: .*{bad}"):
             read_results_csv(stream)
 
+    @pytest.mark.parametrize("proper", ["TRUE", "True", "1", "yes", ""])
+    def test_proper_other_than_true_or_false_names_its_line(self, proper):
+        stream = io.StringIO(HEADER + "tri,HC,1,3,true,0.001,,\n"
+                             f"tri,SA,1,3,{proper},0.001,,\n")
+        with pytest.raises(ValueError, match=f"results CSV:3: proper must be true or "
+                                             f"false, got '{proper}'"):
+            read_results_csv(stream)
+
+    def test_proper_reads_true_and_false(self):
+        stream = io.StringIO(HEADER + "tri,HC,1,3,true,0.001,,\ntri,SA,1,4,false,0.001,,\n")
+        assert [r.proper for r in read_results_csv(stream)] == [True, False]
+
     @given(st.lists(st.lists(st.text(alphabet="0123456789.-,\"\n\r\x00 truefalseHC",
                                      max_size=8), max_size=10), max_size=6),
            st.booleans())

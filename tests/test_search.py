@@ -157,6 +157,52 @@ class TestTweak:
             assert abs(count - expected) < 5 * sigma, (pair, count)
 
 
+@st.composite
+def recolorings(draw):
+    """(graph, k, initial coloring, moves); each move recolors a vertex to a
+    color other than the one it has at that point."""
+    g = draw(graphs())
+    n = g.vertex_count
+    k = draw(st.integers(2, 6))
+    top = draw(st.sampled_from((k - 1, k - 2)))  # k - 2: color k - 1 starts unused
+    colors = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 2)),
+                          max_size=40))
+    return g, k, colors, moves
+
+
+class TestConflictState:
+    """_ConflictState against a from-scratch recount after every move."""
+
+    @staticmethod
+    def assert_recounted(state, g, k):
+        colors = state.colors
+        gamma = [[0] * g.vertex_count for _ in range(k)]
+        for v, neighbors in enumerate(g.adjacency):
+            for u in neighbors:
+                gamma[colors[u]][v] += 1
+        assert state.gamma == gamma
+        assert state.total == conflict_count(g, colors)
+        assert state.conflicted == sorted(conflicted_vertices(g, colors))
+        base = state.total
+        for v in range(g.vertex_count):
+            for c in range(k):
+                if c != colors[v]:
+                    moved = colors[:v] + [c] + colors[v + 1:]
+                    assert state.delta(v, c) == conflict_count(g, moved) - base, (v, c)
+
+    @settings(deadline=None)
+    @given(recolorings())
+    def test_matches_recount_after_every_apply(self, case):
+        g, k, colors, moves = case
+        state = search_module._ConflictState(g, k, colors)
+        self.assert_recounted(state, g, k)
+        for v, r in moves:
+            old = state.colors[v]
+            state.apply(v, r if r < old else r + 1)
+            self.assert_recounted(state, g, k)
+
+
 class TestProjectColoring:
     def test_identity_when_within_palette(self, k3):
         assert project_coloring(k3, [0, 1, 2], 3) == [0, 1, 2]
