@@ -169,7 +169,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     budget = 600.0
     references = None
     overrides: dict = {}
-    override_lines: dict[str, str] = {}  # key -> path:line, in order of last setting
+    override_lines: dict[str, int] = {}  # key -> the last line that set it
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -199,16 +199,15 @@ def parse_manifest(path: str | Path) -> BenchManifest:
             references = value
         elif key in PARAM_OVERRIDES:
             overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)
-            override_lines.pop(key, None)
-            override_lines[key] = where
+            override_lines[key] = line_no
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
     try:
         SolverParams(wall_budget_seconds=budget, **overrides)
     except ValueError as exc:
-        named = set(re.findall(r"\w+", str(exc)))
-        keys = [key for key in override_lines if key in named] or list(override_lines)
-        raise ValueError(f"{override_lines[keys[-1]]}: {exc}") from None
+        words = set(re.findall(r"\w+", str(exc)))
+        lines = [n for key, n in override_lines.items() if key in words]
+        raise ValueError(f"{path}:{max(lines or override_lines.values())}: {exc}") from None
     if not instances:
         raise ValueError(f"{path}: manifest names no instances")
     if not methods:

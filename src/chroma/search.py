@@ -221,13 +221,11 @@ class _ConflictState:
 
 
 def _draw_move(rng: random.Random, colors: Sequence[int], k: int,
-               conflicted: Sequence[int]) -> tuple[int, int]:
+               conflicted_sorted: Sequence[int]) -> tuple[int, int]:
     """Draw (vertex, new color): vertex uniform over the conflicted set when
-    nonempty, otherwise over all vertices; color uniform over the k-1 others.
-
-    `conflicted` must be in increasing order: the draw picks by index."""
-    if conflicted:
-        v = conflicted[rng.randrange(len(conflicted))]
+    nonempty, otherwise over all vertices; color uniform over the k-1 others."""
+    if conflicted_sorted:
+        v = conflicted_sorted[rng.randrange(len(conflicted_sorted))]
     else:
         v = rng.randrange(len(colors))
     r = rng.randrange(k - 1)
