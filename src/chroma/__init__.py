@@ -1,10 +1,10 @@
 """Graph vertex coloring via single-state metaheuristics.
 
 Core surface: an immutable adjacency-list Graph with conflict measurements,
-DIMACS .col parsing, DSatur and random constructive colorings, a clique
-lower bound, an exact small-graph chromatic-number oracle, four fixed-palette
-conflict-minimization searches (HC, SA, TS, ILS) under a k-reduction driver,
-and a benchmark harness with CSV/JSON reporting.
+DIMACS .col parsing, DSatur and random constructive colorings, a chromatic
+lower bound (exact up to 16 vertices), an exact small-graph chromatic-number
+oracle, four fixed-palette conflict-minimization searches (HC, SA, TS, ILS)
+under a k-reduction driver, and a benchmark harness with CSV/JSON reporting.
 """
 
 from .bench import RunResult, diff_percent, run_benchmark, compare_report
@@ -14,7 +14,7 @@ from .dimacs import (BEST_KNOWN_COLORS, DimacsError, InstanceRecord,
 from .generators import random_bipartite_graph, random_graph
 from .graph import (Coloring, Graph, GraphError, build_graph, color_count,
                     conflict_count, conflicted_vertices, is_proper, max_degree)
-from .heuristics import (chromatic_number_exact, clique_lower_bound, dsatur,
+from .heuristics import (chromatic_lower_bound, chromatic_number_exact, dsatur,
                          random_coloring)
 from .search import (METHODS, FingerprintFifo, SearchOutcome, SolverParams,
                      coloring_fingerprint, hill_climbing, iterated_local_search,
@@ -27,7 +27,7 @@ __all__ = [
     "BEST_KNOWN_COLORS", "Coloring", "DimacsError", "FingerprintFifo", "Graph",
     "GraphError", "InstanceRecord", "METHODS", "RunResult", "SearchOutcome",
     "SolverParams", "VirtualClock", "WallClock", "build_graph",
-    "chromatic_number_exact", "clique_lower_bound", "color_count",
+    "chromatic_lower_bound", "chromatic_number_exact", "color_count",
     "coloring_fingerprint",
     "compare_report", "conflict_count", "conflicted_vertices", "diff_percent",
     "dsatur", "hill_climbing", "is_proper", "iterated_local_search",

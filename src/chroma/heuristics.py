@@ -1,4 +1,4 @@
-"""Constructive colorings, a clique lower bound and an exact small-instance
+"""Constructive colorings, a chromatic lower bound and an exact small-instance
 chromatic-number oracle.
 
 DSatur repeatedly colors the uncolored vertex with the highest saturation
@@ -7,8 +7,10 @@ ties by degree within the uncolored subgraph and then by lowest vertex index,
 and assigns the smallest color absent from its neighborhood. The result is
 always proper and never uses more than max_degree + 1 colors.
 
-A clique of size s needs s distinct colors, so the size of any clique found
-is a lower bound on the chromatic number (see clique_lower_bound).
+A clique of size s needs s distinct colors, so the clique number is a lower
+bound on the chromatic number. On small graphs chromatic_lower_bound tries it
+first and computes the exact chromatic number only when the clique number
+stops short of a known coloring's color count.
 """
 
 from __future__ import annotations
@@ -61,16 +63,23 @@ def dsatur(g: Graph) -> Coloring:
     return colors
 
 
-def clique_lower_bound(g: Graph) -> int:
-    """Size of a clique found in g, hence a lower bound on its chromatic number.
+def chromatic_lower_bound(g: Graph, upper: int) -> int:
+    """A lower bound on g's chromatic number, given `upper` colors that suffice.
 
-    Up to EXACT_VERTEX_LIMIT vertices this is the clique number, found by a
-    bitset branch and bound in the style of MCQ (Tomita & Seki 2003). Larger
-    graphs get the trivial bound: 2 if g has an edge, else 1.
+    `upper` is the color count of a known proper coloring (the driver passes
+    DSatur's). Up to EXACT_VERTEX_LIMIT vertices the bound is the chromatic
+    number itself. The clique number comes first, found by a bitset branch
+    and bound in the style of MCQ (Tomita & Seki 2003): it is cheap, and a
+    clique of size s needs s colors, so when it reaches `upper` it is the
+    answer. Only when it falls short is the exact chromatic number computed.
+    Larger graphs get the trivial bound: 2 if g has an edge, else 1.
     """
-    if g.vertex_count <= EXACT_VERTEX_LIMIT:
-        return _clique_number(g)
-    return 2 if g.edge_count else 1
+    if g.vertex_count > EXACT_VERTEX_LIMIT:
+        return 2 if g.edge_count else 1
+    omega = _clique_number(g)
+    if omega >= upper:
+        return omega
+    return chromatic_number_exact(g)[0]
 
 
 def _clique_number(g: Graph) -> int:

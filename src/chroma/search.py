@@ -8,8 +8,11 @@ a fixed palette size k; a proper coloring is exactly a zero-conflict state.
 
 The outer driver (`solve_k_reduction`) starts from a DSatur coloring and
 repeatedly attempts one fewer color, projecting the incumbent witness down a
-level, until an attempt fails, the wall budget runs out, or k reaches the size
-of a clique in the graph, below which no attempt can succeed.
+level, until an attempt fails, the wall budget runs out, or k reaches a lower
+bound on the chromatic number, below which no attempt can succeed. On graphs
+of up to 16 vertices that bound is the chromatic number itself (the clique
+number when it already equals DSatur's k, else the exact value), so no level
+that can only fail is run there.
 
 Every method is deterministic given (graph, params, seed), except that a real
 wall clock may cut time-driven loops at machine-dependent points; under the
@@ -29,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from .clock import Clock, make_clock
 from .graph import Coloring, Graph, color_count
-from .heuristics import clique_lower_bound, dsatur, random_coloring
+from .heuristics import chromatic_lower_bound, dsatur, random_coloring
 
 METHODS = ("HC", "SA", "TS", "ILS")
 INITIALIZERS = ("dsatur", "random")
@@ -499,25 +502,30 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     Starts from DSatur's proper coloring and its color count k, then attempts
     k-1, k-2, ... with the incumbent witness projected down one level each
     time (or a fresh random coloring under initializer='random'). The first
-    failed attempt, an exhausted wall budget, or a k equal to the clique lower
-    bound (computed once, after DSatur) ends the run; the smallest achieved k
-    is returned with its proper witness and the per-level outcomes. A level
-    below the bound is never attempted, since it could only fail.
+    failed attempt, an exhausted wall budget, or a k equal to
+    `chromatic_lower_bound(g, k)` (computed once, after DSatur) ends the run;
+    the smallest achieved k is returned with its proper witness and the
+    per-level outcomes. A level below the bound is never attempted, since it
+    could only fail; up to 16 vertices the bound is the chromatic number
+    itself. The seeded generator that draws each level's seed is built only
+    when a level runs.
     """
     if g.vertex_count == 0:
         raise ValueError("cannot color an empty graph")
     clock = clock if clock is not None else make_clock()
     run = _METHOD_FUNCS[params.method]
-    master = random.Random(seed)
     t0 = clock.now()
     deadline = t0 + params.wall_budget_seconds
     best = dsatur(g)
     k = color_count(best)
-    bound = clique_lower_bound(g)
+    bound = chromatic_lower_bound(g, k)
     trace: list[SearchOutcome] = []
+    master: Optional[random.Random] = None
     while k > bound:
         if clock.now() >= deadline:
             break
+        if master is None:
+            master = random.Random(seed)
         target = k - 1
         if params.initializer == "random":
             init = random_coloring(g, target, master.getrandbits(64))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chroma import (build_graph, chromatic_number_exact, clique_lower_bound,
+import chroma.heuristics as heuristics_module
+from chroma import (build_graph, chromatic_lower_bound, chromatic_number_exact,
                     color_count, dsatur, is_proper, load_instance, max_degree,
                     random_bipartite_graph, random_coloring, random_graph)
+from chroma.heuristics import _clique_number
 
 from conftest import dsjc_path, graphs
 
@@ -115,38 +117,85 @@ def complete_graph(n):
     return build_graph(n, itertools.combinations(range(n), 2))
 
 
+def groetzsch_graph():
+    """Mycielski's graph of C5: 11 vertices, triangle-free, 4-chromatic."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    apex = [(5 + i, 10) for i in range(5)]
+    return build_graph(11, cycle + shadows + apex)
+
+
 class TestCliqueLowerBound:
+    """The clique number, and the trivial bound above the vertex limit."""
+
     def test_empty_graph(self):
-        assert clique_lower_bound(build_graph(0, [])) == 0
+        assert _clique_number(build_graph(0, [])) == 0
 
     @pytest.mark.parametrize("n", [1, 5, 16, 17, 40])
     def test_edgeless(self, n):
-        assert clique_lower_bound(build_graph(n, [])) == 1
+        assert _clique_number(build_graph(n, [])) == 1
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_complete_graph(self, n):
-        assert clique_lower_bound(complete_graph(n)) == n
+        assert _clique_number(complete_graph(n)) == n
 
     @pytest.mark.parametrize("n", [17, 30])
     def test_an_edge_above_the_vertex_limit(self, n):
-        assert clique_lower_bound(complete_graph(n)) == 2
+        assert chromatic_lower_bound(complete_graph(n), n) == 2
 
     def test_five_cycle(self, c5):
-        assert clique_lower_bound(c5) == 2
+        assert _clique_number(c5) == 2
 
     @pytest.mark.parametrize("side", [8, 15])
     def test_bipartite(self, side):
         for seed in range(10):
             g = random_bipartite_graph(side, side, 0.5, seed=seed)
             assert g.edge_count > 0
-            assert clique_lower_bound(g) == 2
+            assert _clique_number(g) == 2
 
     @given(graphs(min_n=1, max_n=16))
     @settings(deadline=None)
     def test_exact_up_to_the_vertex_limit(self, g):
-        bound = clique_lower_bound(g)
-        assert bound == brute_clique_number(g)
-        assert bound <= chromatic_number_exact(g)[0]
+        omega = _clique_number(g)
+        assert omega == brute_clique_number(g)
+        assert omega <= chromatic_number_exact(g)[0]
+
+
+class TestChromaticLowerBound:
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_edgeless_above_the_vertex_limit(self, n):
+        assert chromatic_lower_bound(build_graph(n, []), 1) == 1
+
+    def test_five_cycle_is_exact(self, c5):
+        assert chromatic_lower_bound(c5, 3) == 3
+
+    def test_triangle_free_four_chromatic(self):
+        g = groetzsch_graph()
+        assert g.edge_count == 20
+        assert _clique_number(g) == 2
+        upper = color_count(dsatur(g))
+        assert chromatic_lower_bound(g, upper) == 4
+
+    def test_clique_reaching_upper_skips_the_exact_search(self, k4, monkeypatch):
+        calls = []
+        exact = heuristics_module.chromatic_number_exact
+        monkeypatch.setattr(heuristics_module, "chromatic_number_exact",
+                            lambda g: calls.append(g) or exact(g))
+        assert chromatic_lower_bound(k4, 4) == 4
+        assert calls == []
+        assert chromatic_lower_bound(complete_graph(3), 4) == 3
+        assert len(calls) == 1
+
+    @given(graphs(min_n=1, max_n=16), st.data())
+    @settings(deadline=None)
+    def test_between_clique_and_chromatic_number(self, g, data):
+        upper = data.draw(st.integers(1, g.vertex_count), label="upper")
+        omega = brute_clique_number(g)
+        chi = chromatic_number_exact(g)[0]
+        bound = chromatic_lower_bound(g, upper)
+        assert omega <= bound <= chi
+        if upper > omega:
+            assert bound == chi
 
 
 class TestExactOracle:

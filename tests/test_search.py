@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import chroma.search as search_module
 from chroma import (METHODS, FingerprintFifo, SolverParams, VirtualClock,
-                    WallClock, build_graph, clique_lower_bound, color_count,
+                    WallClock, build_graph, chromatic_lower_bound,
+                    chromatic_number_exact, color_count,
                     coloring_fingerprint, conflict_count, conflicted_vertices,
                     dsatur, hill_climbing, is_proper, iterated_local_search,
                     project_coloring, random_graph, simulated_annealing,
@@ -477,17 +478,21 @@ class TestSolveKReduction:
         """Differential: the driver against itself with the bound held at two
         colors, the floor it always had, on acceptance criterion 2's graphs.
         Same (k, coloring); the trace loses at most its last, failed level,
-        and only where the bound equals k."""
+        and only where the bound equals k. Each of these graphs has at most 9
+        vertices, so the bound is the chromatic number and every cell skips
+        its failed level."""
         monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
         skipped = 0
         for i in range(30):
             g = random_graph(9, 0.5, seed=5000 + i)
-            bound = clique_lower_bound(g)
+            chi, _ = chromatic_number_exact(g)
+            bound = chromatic_lower_bound(g, color_count(dsatur(g)))
+            assert bound == chi, i
             for method in METHODS:
                 p = params(method=method, wall_budget_seconds=10.0)
                 new_coloring, new_k, new_trace = solve_k_reduction(g, p, seed=1)
                 with monkeypatch.context() as m:
-                    m.setattr(search_module, "clique_lower_bound", lambda g: 2)
+                    m.setattr(search_module, "chromatic_lower_bound", lambda g, k: 2)
                     old_coloring, old_k, old_trace = solve_k_reduction(g, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
@@ -496,13 +501,27 @@ class TestSolveKReduction:
                 if dropped:
                     assert bound == new_k and dropped[0].conflicts > 0, (i, method)
                     skipped += 1
-        assert skipped >= 100  # 112: every method reaches the bound on 28 graphs
+                if new_k == chi:
+                    assert all(t.conflicts == 0 for t in new_trace), (i, method)
+        assert skipped == 120  # every cell reaches chi and skips its failed level
 
     def test_five_cycle_reaches_three(self, c5):
         coloring, k, trace = solve_k_reduction(
             c5, params(method="HC", wall_budget_seconds=5.0), seed=1)
         assert k == 3
         assert is_proper(c5, coloring)
+        assert trace == []  # DSatur's 3 colors equal the bound; no level runs
+
+    def test_driver_seeds_no_generator_when_no_level_runs(self, k4, monkeypatch):
+        g = random_graph(9, 0.5, seed=5021)  # DSatur 4 colors, chi 3
+        built = []
+        real = random.Random
+        monkeypatch.setattr(search_module.random, "Random",
+                            lambda seed: built.append(seed) or real(seed))
+        assert solve_k_reduction(k4, params(), seed=3)[2] == []
+        assert built == []
+        assert len(solve_k_reduction(g, params(), seed=3)[2]) == 1
+        assert built[0] == 3
 
     def test_achieved_palette_shrinks_by_one_per_success(self):
         g = random_graph(18, 0.4, seed=3)
