@@ -17,9 +17,8 @@ from .graph import (Coloring, Graph, GraphError, build_graph, color_count,
 from .heuristics import (chromatic_lower_bound, chromatic_number_exact, dsatur,
                          random_coloring)
 from .search import (METHODS, FingerprintFifo, SearchOutcome, SolverParams,
-                     coloring_fingerprint, hill_climbing, iterated_local_search,
-                     project_coloring, simulated_annealing, solve_k_reduction,
-                     tabu_search)
+                     hill_climbing, iterated_local_search, project_coloring,
+                     simulated_annealing, solve_k_reduction, tabu_search)
 
 __version__ = "0.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "GraphError", "InstanceRecord", "METHODS", "RunResult", "SearchOutcome",
     "SolverParams", "VirtualClock", "WallClock", "build_graph",
     "chromatic_lower_bound", "chromatic_number_exact", "color_count",
-    "coloring_fingerprint",
     "compare_report", "conflict_count", "conflicted_vertices", "diff_percent",
     "dsatur", "hill_climbing", "is_proper", "iterated_local_search",
     "load_instance", "make_clock", "max_degree", "parse_dimacs",

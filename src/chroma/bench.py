@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import IO, Optional
 
 from .clock import make_clock
-from .dimacs import InstanceRecord, load_instance, read_reference_table
+from .dimacs import (InstanceRecord, load_instance, read_reference_table,
+                     read_utf8)
 from .graph import is_proper
 from .search import METHODS, PARAM_TYPES, SolverParams, solve_k_reduction
 
@@ -55,14 +56,14 @@ def diff_percent(obtained: int, reference: int) -> float:
 
 def write_results(rows: list[RunResult], stream: IO[str], fmt: str = "csv") -> None:
     if fmt == "csv":
-        stream.write(",".join(CSV_FIELDS) + "\n")
+        writer = csv.writer(stream, lineterminator="\n")  # None is written as ""
+        writer.writerow(CSV_FIELDS)
         for r in rows:
-            stream.write(
-                f"{r.instance},{r.method},{r.seed},{r.k_colors},"
-                f"{str(r.proper).lower()},{r.wall_seconds:.3f},"
-                f"{'' if r.best_known is None else r.best_known},"
-                f"{'' if r.diff_percent is None else f'{r.diff_percent:.2f}'}\n"
-            )
+            writer.writerow((
+                r.instance, r.method, r.seed, r.k_colors, str(r.proper).lower(),
+                f"{r.wall_seconds:.3f}", r.best_known,
+                None if r.diff_percent is None else f"{r.diff_percent:.2f}",
+            ))
     elif fmt == "json":
         payload = []
         for r in rows:
@@ -170,7 +171,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     references = None
     overrides: dict = {}
     override_lines: dict[str, int] = {}  # key -> the last line that set it
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

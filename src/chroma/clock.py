@@ -25,14 +25,14 @@ class WallClock:
 
 
 class VirtualClock:
-    """Counts objective evaluations; `now` is evaluations * seconds_per_eval."""
+    """Counts objective evaluations; `now` is evaluations *
+    VIRTUAL_SECONDS_PER_EVAL."""
 
-    def __init__(self, seconds_per_eval: float = VIRTUAL_SECONDS_PER_EVAL):
+    def __init__(self) -> None:
         self.evaluations = 0
-        self.seconds_per_eval = seconds_per_eval
 
     def now(self) -> float:
-        return self.evaluations * self.seconds_per_eval
+        return self.evaluations * VIRTUAL_SECONDS_PER_EVAL
 
     def tick(self) -> None:
         self.evaluations += 1

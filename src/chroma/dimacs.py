@@ -121,10 +121,19 @@ def render_dimacs(vertex_count: int, edges: Iterable[tuple[int, int]],
     return "\n".join(out) + "\n"
 
 
+def read_utf8(path: Path) -> str:
+    """A text file's contents; a file that is not UTF-8 raises ValueError
+    naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_reference_table(path: str | Path) -> dict[str, int]:
     """Read a user-supplied ``name colors`` table (one pair per line, # comments)."""
     table: dict[str, int] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(Path(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,7 +160,7 @@ def load_instance(path: str | Path,
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = read_utf8(path)
     except OSError as exc:
         raise OSError(f"cannot read instance file {path}: {exc}") from exc
     try:

@@ -46,7 +46,10 @@ class SolverParams:
 
     hc_strict, sa_geometric, ils_perturbation and initializer are knobs over
     details the benchmark setup leaves open (plateau acceptance, cooling
-    shape, kick strength, initial coloring).
+    shape, kick strength, initial coloring). ils_queue_length, the length of
+    the benchmark setup's ILS home-base queue, is checked but has no effect:
+    ILS adopts only strictly better home bases, so none can recur (see
+    iterated_local_search).
 
     The fields are the one parameter schema: each is checked by its declared
     type (PARAM_TYPES), and the `solve` flags and manifest keys are built
@@ -102,25 +105,6 @@ class SearchOutcome:
     elapsed_seconds: float
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def coloring_fingerprint(colors: Sequence[int]) -> int:
-    """64-bit FNV-1a over the color vector (4 little-endian bytes per entry).
-
-    Platform-independent, so ILS home-base memories behave identically
-    everywhere.
-    """
-    h = _FNV_OFFSET
-    for value in colors:
-        for shift in (0, 8, 16, 24):
-            h ^= (value >> shift) & 0xFF
-            h = (h * _FNV_PRIME) & _U64
-    return h
-
-
 _ZOBRIST_SEED = 0x2B7E151628AED2A6  # fixed: the keys never draw on a search rng
 
 
@@ -139,21 +123,16 @@ def _zobrist_table(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 class FingerprintFifo:
-    """Bounded FIFO memory of coloring fingerprints; evicts strictly oldest-first.
-
-    Serves both as the tabu list and as the ILS home-base queue.
-    """
+    """Bounded FIFO memory of coloring fingerprints, evicting strictly
+    oldest-first: the tabu list of tabu_search."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: deque[int] = deque()
+        self._entries: deque[int] = deque(maxlen=capacity)
 
     def push(self, fingerprint: int) -> None:
         self._entries.append(fingerprint)
-        if len(self._entries) > self.capacity:
-            self._entries.popleft()
 
     def __contains__(self, fingerprint: int) -> bool:
         return fingerprint in self._entries
@@ -423,20 +402,18 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     """Time-budgeted climbs restarted from perturbed home bases.
 
     Runs ils_inner_seconds climbs until ils_total_seconds elapse; a climb
-    already in flight at the total deadline is allowed to finish. A result
-    strictly better than the home base whose fingerprint is not in the
-    home-base queue becomes the new home base; the next climb starts from the
-    home base with a perturbation kick applied.
+    already in flight at the total deadline is allowed to finish. The home
+    base is the best coloring so far: a result with strictly fewer conflicts
+    replaces it, and the next climb starts from it with a perturbation kick
+    applied. Home-base conflicts only fall, so no home base recurs and no
+    memory of past ones is kept: ils_queue_length has no effect.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
     best = list(state.colors)
     best_conf = state.total
-    home = list(state.colors)
-    home_conf = state.total
-    queue = FingerprintFifo(params.ils_queue_length)
     stop_at = t0 + params.ils_total_seconds
-    current = home  # the first climb starts from the unperturbed init
+    current = best  # the first climb starts from the unperturbed init
     while best_conf > 0:
         now = clock.now()
         if now >= stop_at:
@@ -459,13 +436,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
             best = inner_best
         if best_conf == 0:
             break
-        if inner_conf < home_conf:
-            fp = coloring_fingerprint(inner_best)
-            if fp not in queue:
-                home = inner_best
-                home_conf = inner_conf
-                queue.push(fp)
-        current = _perturb(home, k, rng, params.ils_perturbation)
+        current = _perturb(best, k, rng, params.ils_perturbation)
     return SearchOutcome(best, best_conf, evals, clock.now() - t0)
 
 

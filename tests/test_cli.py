@@ -83,6 +83,21 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path):
+        binary = tmp_path / "bin.col"
+        binary.write_bytes(b"\xffp edge 1 0\n")
+        code, _, err = run_cli(capsys, "solve", str(binary), "--method", "hc")
+        assert code == 2
+        assert f"error: {binary}: not UTF-8 text" in err
+
+    def test_non_utf8_references_exit_2_naming_them(self, capsys, tmp_path):
+        refs = tmp_path / "bad.txt"
+        refs.write_bytes(b"triangle \xff\n")
+        code, _, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
+                               "--method", "hc", "--references", str(refs))
+        assert code == 2
+        assert f"error: {refs}: not UTF-8 text" in err
+
     def test_improper_result_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("chroma.bench.solve_k_reduction",
                             lambda g, p, s, clock: ([0, 0, 0], 3, []))
@@ -185,6 +200,14 @@ class TestBenchAndReport:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert "no instances" in err
+
+    def test_non_utf8_manifest_exits_2_naming_it(self, capsys, tmp_path):
+        manifest = tmp_path / "bin.manifest"
+        manifest.write_bytes(b"instances = a.col\n\xff\n")
+        code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert f"error: {manifest}: not UTF-8 text" in err
 
     def test_unrecognised_bool_exits_2(self, capsys, tmp_path):
         manifest = tmp_path / "bad.manifest"

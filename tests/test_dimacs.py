@@ -191,9 +191,11 @@ class TestWriteResults:
 
     def test_csv_round_trip(self):
         out = io.StringIO()
-        write_results(SAMPLE_ROWS, out)
+        comma = RunResult("a,b", "TS", 2, 5, False, 1.25, None, None)
+        write_results(SAMPLE_ROWS + [comma], out)
         rows = read_results_csv(io.StringIO(out.getvalue()))
-        assert [r.instance for r in rows] == ["DSJC125.5", "toy"]
+        assert [r.instance for r in rows] == ["DSJC125.5", "toy", "a,b"]
+        assert rows[2] == comma
         assert rows[0].diff_percent == 17.65
         assert rows[0].best_known == 17
         assert rows[1].best_known is None

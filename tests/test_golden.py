@@ -1,10 +1,11 @@
 """Golden trajectories: seeded runs pinned under the virtual clock.
 
 The `test_deterministic` tests only compare one run with another, so an
-optimisation that changed a trajectory would still pass them. These values
-were recorded from the FNV-1a tabu fingerprint implementation; any change to
-a move stream, an acceptance rule, a tabu decision or the k-reduction loop
-shows up here as a different k, per-level outcome or coloring digest.
+optimisation that changed a trajectory would still pass them. The GOLDEN
+values were recorded when tabu search still hashed each candidate coloring in
+full; any change to a move stream, an acceptance rule, a tabu decision or the
+k-reduction loop shows up here as a different k, per-level outcome or
+coloring digest.
 """
 
 import hashlib

@@ -1,5 +1,4 @@
 import random
-import struct
 from collections import deque
 
 import pytest
@@ -10,7 +9,7 @@ import chroma.search as search_module
 from chroma import (METHODS, FingerprintFifo, SolverParams, VirtualClock,
                     WallClock, build_graph, chromatic_lower_bound,
                     chromatic_number_exact, color_count,
-                    coloring_fingerprint, conflict_count, conflicted_vertices,
+                    conflict_count, conflicted_vertices,
                     dsatur, hill_climbing, is_proper, iterated_local_search,
                     project_coloring, random_graph, simulated_annealing,
                     solve_k_reduction, tabu_search)
@@ -59,24 +58,6 @@ class TestSolverParams:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             params(**bad)
-
-
-class TestFingerprint:
-    def test_matches_independent_fnv1a(self):
-        def fnv(data: bytes) -> int:
-            h = 0xCBF29CE484222325
-            for b in data:
-                h ^= b
-                h = (h * 0x100000001B3) % 2**64
-            return h
-
-        for colors in ([], [0], [0, 1, 2], [7, 7, 7], list(range(40))):
-            packed = struct.pack(f"<{len(colors)}I", *colors)
-            assert coloring_fingerprint(colors) == fnv(packed)
-
-    def test_sensitive_to_order_and_value(self):
-        assert coloring_fingerprint([0, 1]) != coloring_fingerprint([1, 0])
-        assert coloring_fingerprint([0, 1]) != coloring_fingerprint([0, 2])
 
 
 class TestFingerprintFifo:
@@ -455,6 +436,29 @@ class TestIteratedLocalSearch:
             runs.append((out.coloring, out.conflicts, out.evaluations,
                          out.elapsed_seconds))
         assert runs[0] == runs[1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(graphs(min_n=2), st.integers(2, 4), st.integers(0, 2**32))
+    def test_each_new_home_base_has_fewer_conflicts(self, g, k, seed):
+        # ILS keeps no memory of past home bases: this invariant alone keeps
+        # any one of them from being adopted twice
+        kicked = []
+        real_perturb = search_module._perturb
+
+        def spy_perturb(colors, k, rng, fraction):
+            kicked.append(list(colors))
+            return real_perturb(colors, k, rng, fraction)
+
+        rng = random.Random(seed)
+        init = [rng.randrange(k) for _ in range(g.vertex_count)]
+        p = params(ils_inner_seconds=0.005, ils_total_seconds=0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_perturb", spy_perturb)
+            iterated_local_search(g, k, init, p, seed, clock=VirtualClock())
+        homes = [init] + kicked
+        for before, after in zip(homes, homes[1:]):
+            if after != before:
+                assert conflict_count(g, after) < conflict_count(g, before)
 
     def test_improves_over_poor_init(self):
         g = random_graph(20, 0.3, seed=12)
