@@ -252,10 +252,10 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
                   fmt: str = "csv", jobs: int = 1) -> tuple[list[RunResult], list[str]]:
     """Execute every (instance x method x seed) cell.
 
-    Instances that fail to load are skipped and reported in the returned
-    error list; an improper coloring from a solver aborts the whole run.
-    Rows come back sorted by (instance, method, seed) so concurrency never
-    changes the output.
+    Instances that fail to load are skipped and their errors, each naming
+    its file, returned as a list; an improper coloring from a solver aborts
+    the whole run. Rows come back sorted by (instance, method, seed) so
+    concurrency never changes the output.
     """
     reference = None
     if manifest.references_path is not None:
@@ -268,7 +268,7 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
         try:
             records.append(load_instance(inst_path, reference))
         except (OSError, ValueError) as exc:
-            errors.append(f"{inst_path}: {exc}")
+            errors.append(str(exc))  # load_instance names the path
     cells = [(rec, method, seed, base)
              for rec in records
              for method in manifest.methods

@@ -97,6 +97,8 @@ def parse_dimacs(text: str | IO[str]) -> ParsedDimacs:
                 raise DimacsError(
                     f"endpoint out of range [1, {vertex_count}]: e {u} {v}", line_no
                 )
+            if u == v:
+                raise DimacsError(f"self-loop: e {u} {v}", line_no)
             edges.append((u - 1, v - 1))
         else:
             warnings.append(f"line {line_no}: ignored unknown line type {kind!r}")
@@ -162,7 +164,7 @@ def load_instance(path: str | Path,
     try:
         text = read_utf8(path)
     except OSError as exc:
-        raise OSError(f"cannot read instance file {path}: {exc}") from exc
+        raise OSError(f"cannot read instance file {path}: {exc.strerror or exc}") from exc
     try:
         parsed = parse_dimacs(text)
     except DimacsError as exc:

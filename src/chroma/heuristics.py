@@ -88,7 +88,7 @@ def _clique_number(g: Graph) -> int:
     A branch is cut once its clique size plus the count of its remaining
     candidates cannot beat the best clique found so far.
     """
-    neighbors = [sum(1 << u for u in adj) for adj in g.adjacency]
+    neighbors = g.neighbor_masks
     best = 0
 
     def expand(size: int, candidates: int) -> None:

@@ -146,59 +146,72 @@ class FingerprintFifo:
 
 
 class _ConflictState:
-    """Working coloring with the TabuCol gamma table (Hertz & de Werra 1987;
-    Galinier & Hao 1999).
+    """Working coloring with color-class bitsets, in the bit-parallel style of
+    BBMC (San Segundo et al. 2011).
 
-    gamma[c][v] counts v's neighbors colored c. It is stored by color, so a
-    recoloring from old to new touches only rows old and new, and the cost
-    of a move is two lookups. v's own conflicts are gamma[colors[v]][v];
+    classes[c] is the int bitset of the vertices colored c, and own[v] is the
+    number of v's neighbors that share its color. v's conflicts under color c
+    are the set bits of neighbor_masks[v] & classes[c], so a move costs an AND
+    and a popcount to evaluate, with no walk over the neighbors, as with the
+    TabuCol table (Galinier & Hao 1999). Recoloring v from old to new visits
+    only the neighbors colored old or new, the only ones whose count changes.
     `total` is the number of monochromatic edges; `conflicted` lists the
     vertices with any conflict in increasing order, so a draw by index picks
     the vertex it would pick from sorted() of the set.
     """
 
-    __slots__ = ("g", "colors", "gamma", "conflicted", "total")
+    __slots__ = ("masks", "colors", "classes", "own", "conflicted", "total")
 
     def __init__(self, g: Graph, k: int, colors: Sequence[int]):
-        self.g = g
+        self.masks = masks = g.neighbor_masks
         self.colors = colors = list(colors)
-        gamma = [[0] * g.vertex_count for _ in range(k)]
-        for v, neighbors in enumerate(g.adjacency):
-            row = gamma[colors[v]]  # v is a neighbor of each u colored colors[v]
-            for u in neighbors:
-                row[u] += 1
-        self.gamma = gamma
-        own = [gamma[c][v] for v, c in enumerate(colors)]
+        classes = [0] * k
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        self.classes = classes
+        self.own = own = [(masks[v] & classes[c]).bit_count()
+                          for v, c in enumerate(colors)]
         self.total = sum(own) // 2
         self.conflicted = [v for v, hits in enumerate(own) if hits]
 
     def delta(self, v: int, new_color: int) -> int:
         """Change in total conflicts if v were recolored to new_color."""
-        gamma = self.gamma
-        return gamma[new_color][v] - gamma[self.colors[v]][v]
+        return (self.masks[v] & self.classes[new_color]).bit_count() - self.own[v]
 
     def apply(self, v: int, new_color: int) -> None:
         colors = self.colors
+        classes = self.classes
+        own = self.own
         conflicted = self.conflicted
         old = colors[v]
-        out_col = self.gamma[old]
-        in_col = self.gamma[new_color]
-        for u in self.g.adjacency[v]:
-            left = out_col[u] - 1
-            out_col[u] = left
-            joined = in_col[u] + 1
-            in_col[u] = joined
-            # u's own count is left if u is colored old, joined if new
-            if not left and colors[u] == old:
+        mask = self.masks[v]
+        left = mask & classes[old]  # neighbors that lose a conflict
+        joined = mask & classes[new_color]  # neighbors that gain one
+        was = own[v]
+        now = joined.bit_count()
+        while left:
+            u = left.bit_length() - 1
+            left ^= 1 << u
+            hits = own[u] - 1
+            own[u] = hits
+            if not hits:
                 del conflicted[bisect_left(conflicted, u)]
-            elif joined == 1 and colors[u] == new_color:
+        while joined:
+            u = joined.bit_length() - 1
+            joined ^= 1 << u
+            hits = own[u] + 1
+            own[u] = hits
+            if hits == 1:
                 insort(conflicted, u)
-        was, now = out_col[v], in_col[v]
+        own[v] = now
         self.total += now - was
         if was and not now:
             del conflicted[bisect_left(conflicted, v)]
         elif now and not was:
             insort(conflicted, v)
+        bit = 1 << v
+        classes[old] ^= bit
+        classes[new_color] |= bit
         colors[v] = new_color
 
 

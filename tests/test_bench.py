@@ -215,6 +215,21 @@ class TestRunBenchmark:
         assert len(errors) == 1
         assert "ghost.col" in errors[0]
 
+    def test_each_load_error_names_its_path_once(self, tmp_path):
+        inst = _write_instance(tmp_path, "tri", 3, [(0, 1), (1, 2), (0, 2)])
+        binary = tmp_path / "bin.col"
+        binary.write_bytes(b"\xffp edge 1 0\n")
+        loop = tmp_path / "loop.col"
+        loop.write_text("p edge 3 1\ne 2 2\n")
+        bad = [str(tmp_path / "ghost.col"), str(binary), str(loop)]
+        manifest = BenchManifest([str(inst)] + bad, ["HC"], [1], 5.0)
+        rows, errors = run_benchmark(manifest)
+        assert len(rows) == 1
+        assert len(errors) == 3
+        for path, error in zip(bad, errors):
+            assert error.count(path) == 1, error
+        assert errors[2] == f"{loop}: line 2: self-loop: e 2 2"
+
     def test_writes_csv_when_given_stream(self, small_manifest):
         out = io.StringIO()
         rows, _ = run_benchmark(small_manifest, out)

@@ -83,6 +83,14 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_self_loop_exits_2_naming_file_and_line(self, capsys, tmp_path):
+        loop = tmp_path / "x.col"
+        loop.write_text("p edge 3 2\ne 1 2\ne 3 3\n")
+        code, out, err = run_cli(capsys, "solve", str(loop), "--method", "hc")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {loop}: line 3: self-loop: e 3 3\n"
+
     def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path):
         binary = tmp_path / "bin.col"
         binary.write_bytes(b"\xffp edge 1 0\n")

@@ -71,6 +71,11 @@ class TestParse:
             parse_dimacs("p edge 3 1\nc pad\ne 1 4\n")
         assert exc_info.value.line_no == 3
 
+    def test_self_loop_names_its_line_in_file_indices(self):
+        with pytest.raises(DimacsError, match=r"^line 3: self-loop: e 3 3$") as exc_info:
+            parse_dimacs("p edge 3 2\ne 1 2\ne 3 3\n")
+        assert exc_info.value.line_no == 3
+
     def test_zero_endpoint_rejected(self):
         # DIMACS endpoints are 1-indexed
         with pytest.raises(DimacsError, match="out of range"):
@@ -139,8 +144,10 @@ class TestLoadInstance:
         assert record.graph.edge_count == 3
 
     def test_missing_file_error_carries_path(self, tmp_path):
-        with pytest.raises(OSError, match="nope.col"):
-            load_instance(tmp_path / "nope.col")
+        path = tmp_path / "nope.col"
+        with pytest.raises(OSError, match="nope.col") as exc_info:
+            load_instance(path)
+        assert str(exc_info.value).count(str(path)) == 1
 
     def test_parse_error_carries_path(self, tmp_path):
         path = tmp_path / "bad.col"

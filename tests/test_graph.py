@@ -1,11 +1,14 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chroma import (GraphError, build_graph, color_count, conflict_count,
-                    conflicted_vertices, is_proper, max_degree)
+                    conflicted_vertices, is_proper, max_degree, random_graph)
 
-from conftest import brute_conflicted, brute_conflicts, colored_graphs, edge_lists
+from conftest import (brute_conflicted, brute_conflicts, colored_graphs, edge_lists,
+                      graphs)
 
 
 class TestBuildGraph:
@@ -57,6 +60,44 @@ class TestBuildGraph:
         shuffled = list(edges)
         rnd.shuffle(shuffled)
         assert build_graph(n, edges) == build_graph(n, shuffled)
+
+
+class TestNeighborMasks:
+    @staticmethod
+    def assert_masks_match(g):
+        masks = g.neighbor_masks
+        assert len(masks) == g.vertex_count
+        for v, neighbors in enumerate(g.adjacency):
+            assert [u for u in range(g.vertex_count) if masks[v] >> u & 1] == list(neighbors)
+
+    @given(graphs())
+    def test_bit_set_exactly_for_neighbors(self, g):
+        self.assert_masks_match(g)
+
+    def test_empty_graph(self):
+        assert build_graph(0, []).neighbor_masks == ()
+
+    def test_seventy_vertices(self):
+        self.assert_masks_match(random_graph(70, 0.5, seed=4))
+
+    def test_built_lazily_and_cached(self):
+        g = random_graph(20, 0.5, seed=1)
+        assert "neighbor_masks" not in vars(g)
+        assert g.neighbor_masks is g.neighbor_masks
+
+    @pytest.mark.parametrize("built", [False, True])
+    def test_equality_hash_and_pickling_ignore_the_cache(self, built):
+        g = random_graph(70, 0.3, seed=2)
+        if built:
+            assert len(g.neighbor_masks) == 70
+        fresh = random_graph(70, 0.3, seed=2)
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored == g
+        assert hash(restored) == hash(g)
+        self.assert_masks_match(restored)
 
 
 class TestProperness:

@@ -157,21 +157,32 @@ class TestConflictState:
     """_ConflictState against a from-scratch recount after every move."""
 
     @staticmethod
-    def assert_recounted(state, g, k):
+    def assert_recounted(state, g, k, recount_moves=True):
+        """Check classes, own, total, conflicted and every delta. Each delta
+        is checked against a recount of the moved coloring, or with
+        `recount_moves` false, against v's neighbors counted by color."""
         colors = state.colors
-        gamma = [[0] * g.vertex_count for _ in range(k)]
+        classes = [0] * k
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        assert state.classes == classes
+        by_color = [[0] * k for _ in range(g.vertex_count)]
         for v, neighbors in enumerate(g.adjacency):
             for u in neighbors:
-                gamma[colors[u]][v] += 1
-        assert state.gamma == gamma
+                by_color[v][colors[u]] += 1
+        assert state.own == [row[c] for row, c in zip(by_color, colors)]
         assert state.total == conflict_count(g, colors)
         assert state.conflicted == sorted(conflicted_vertices(g, colors))
         base = state.total
         for v in range(g.vertex_count):
             for c in range(k):
                 if c != colors[v]:
-                    moved = colors[:v] + [c] + colors[v + 1:]
-                    assert state.delta(v, c) == conflict_count(g, moved) - base, (v, c)
+                    if recount_moves:
+                        moved = colors[:v] + [c] + colors[v + 1:]
+                        expected = conflict_count(g, moved) - base
+                    else:
+                        expected = by_color[v][c] - by_color[v][colors[v]]
+                    assert state.delta(v, c) == expected, (v, c)
 
     @settings(deadline=None)
     @given(recolorings())
@@ -183,6 +194,22 @@ class TestConflictState:
             old = state.colors[v]
             state.apply(v, r if r < old else r + 1)
             self.assert_recounted(state, g, k)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_matches_recount_above_one_bigint_digit(self, p):
+        # 70 vertices: masks and classes span three of CPython's 30-bit digits
+        g = random_graph(70, p, seed=3)
+        k = 6
+        rng = random.Random(int(p * 10))
+        state = search_module._ConflictState(
+            g, k, [rng.randrange(k) for _ in range(g.vertex_count)])
+        self.assert_recounted(state, g, k, recount_moves=False)
+        for _ in range(200):
+            v = rng.randrange(g.vertex_count)
+            r = rng.randrange(k - 1)
+            old = state.colors[v]
+            state.apply(v, r if r < old else r + 1)
+            self.assert_recounted(state, g, k, recount_moves=False)
 
 
 class TestProjectColoring:
