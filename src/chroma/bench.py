@@ -13,7 +13,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, Optional
@@ -107,14 +107,13 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
 
 @dataclass
 class BenchManifest:
-    """Parsed run specification: which cells to execute and with what budget."""
+    """Parsed run specification: which cells to execute and with what parameters."""
 
     instances: list[str]
     methods: list[str]
     seeds: list[int]
-    budget_seconds: float = 600.0
+    params: SolverParams = field(default_factory=SolverParams)
     references_path: Optional[str] = None
-    param_overrides: Optional[dict] = None
 
 
 # SolverParams fields a manifest key or a `chroma solve` flag of the same name
@@ -167,7 +166,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     instances: list[str] = []
     methods: list[str] = []
     seeds: list[int] = []
-    budget = 600.0
+    budget = SolverParams().wall_budget_seconds
     references = None
     overrides: dict = {}
     override_lines: dict[str, int] = {}  # key -> the last line that set it
@@ -197,6 +196,8 @@ def parse_manifest(path: str | Path) -> BenchManifest:
                 raise ValueError(f"{path}:{line_no}: budget must be finite and positive, "
                                  f"got {value!r}")
         elif key == "references":
+            if not value:
+                raise ValueError(f"{where}: references needs a file name")
             references = value
         elif key in PARAM_OVERRIDES:
             overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)
@@ -204,7 +205,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
         else:
             raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
     try:
-        SolverParams(wall_budget_seconds=budget, **overrides)
+        params = SolverParams(wall_budget_seconds=budget, **overrides)
     except ValueError as exc:
         words = set(re.findall(r"\w+", str(exc)))
         lines = [n for key, n in override_lines.items() if key in words]
@@ -215,7 +216,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
         raise ValueError(f"{path}: manifest names no methods")
     if not seeds:
         seeds = [1, 2, 3]
-    return BenchManifest(instances, methods, seeds, budget, references, overrides or None)
+    return BenchManifest(instances, methods, seeds, params, references)
 
 
 def run_cell(record: InstanceRecord, method: str, seed: int,
@@ -244,10 +245,6 @@ def run_cell(record: InstanceRecord, method: str, seed: int,
     )
 
 
-def _run_cell_args(args) -> RunResult:
-    return run_cell(*args)
-
-
 def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
                   fmt: str = "csv", jobs: int = 1) -> tuple[list[RunResult], list[str]]:
     """Execute every (instance x method x seed) cell.
@@ -260,8 +257,6 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
     reference = None
     if manifest.references_path is not None:
         reference = read_reference_table(manifest.references_path)
-    base = SolverParams(wall_budget_seconds=manifest.budget_seconds,
-                        **(manifest.param_overrides or {}))
     errors: list[str] = []
     records: list[InstanceRecord] = []
     for inst_path in manifest.instances:
@@ -269,13 +264,13 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
             records.append(load_instance(inst_path, reference))
         except (OSError, ValueError) as exc:
             errors.append(str(exc))  # load_instance names the path
-    cells = [(rec, method, seed, base)
+    cells = [(rec, method, seed, manifest.params)
              for rec in records
              for method in manifest.methods
              for seed in manifest.seeds]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell_args, cells))
+            rows = list(pool.map(run_cell, *zip(*cells)))
     else:
         rows = [run_cell(*cell) for cell in cells]
     rows.sort(key=lambda r: (r.instance, r.method, r.seed))

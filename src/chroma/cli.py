@@ -18,7 +18,7 @@ from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
                     parse_manifest, read_results_csv, run_benchmark, run_cell)
 from .dimacs import DimacsError, load_instance, read_reference_table
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
-from .search import SolverParams
+from .search import METHODS, SolverParams
 
 
 def _positive_int(text: str) -> int:
@@ -35,14 +35,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SolverParams()
     solve = sub.add_parser("solve", help="color one DIMACS instance")
     solve.add_argument("file", help="DIMACS .col instance")
-    solve.add_argument("--method", required=True, choices=["hc", "sa", "ts", "ils"])
+    solve.add_argument("--method", required=True, choices=[m.lower() for m in METHODS])
     solve.add_argument("--seed", type=int, default=1)
-    solve.add_argument("--budget", type=float, default=600.0,
-                       help="wall budget in seconds (default 600)")
+    solve.add_argument("--budget", type=float, default=defaults.wall_budget_seconds,
+                       help=f"wall budget in seconds (default {defaults.wall_budget_seconds:g})")
     solve.add_argument("--references", help="override best-known color table")
-    defaults = SolverParams()
     for name, kind in PARAM_OVERRIDES.items():
         flag = "--" + name.replace("_", "-")
         help_text = f"default: {getattr(defaults, name)}"

@@ -135,6 +135,7 @@ def read_utf8(path: Path) -> str:
 def read_reference_table(path: str | Path) -> dict[str, int]:
     """Read a user-supplied ``name colors`` table (one pair per line, # comments)."""
     table: dict[str, int] = {}
+    first_lines: dict[str, int] = {}
     for line_no, raw in enumerate(read_utf8(Path(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -149,6 +150,10 @@ def read_reference_table(path: str | Path) -> dict[str, int]:
         if colors < 1:
             raise ValueError(f"{path}:{line_no}: color count must be an integer "
                              f"of at least 1, got {parts[1]!r}")
+        if parts[0] in first_lines:
+            raise ValueError(f"{path}:{line_no}: {parts[0]} already listed "
+                             f"at line {first_lines[parts[0]]}")
+        first_lines[parts[0]] = line_no
         table[parts[0]] = colors
     return table
 

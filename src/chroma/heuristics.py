@@ -4,8 +4,10 @@ chromatic-number oracle.
 DSatur repeatedly colors the uncolored vertex with the highest saturation
 degree (count of distinct colors among already-colored neighbors), breaking
 ties by degree within the uncolored subgraph and then by lowest vertex index,
-and assigns the smallest color absent from its neighborhood. The result is
-always proper and never uses more than max_degree + 1 colors.
+and assigns the smallest color absent from its neighborhood (Brelaz 1979).
+One integer priority per vertex, saturation * n + uncolored degree, ranks
+saturation first and uncolored degree second, as that degree is below n. The
+result is always proper and never uses more than max_degree + 1 colors.
 
 A clique of size s needs s distinct colors, so the clique number is a lower
 bound on the chromatic number. On small graphs chromatic_lower_bound tries it
@@ -35,31 +37,25 @@ def random_coloring(g: Graph, k: int, seed: int) -> Coloring:
 
 
 def dsatur(g: Graph) -> Coloring:
-    """Saturation-degree greedy coloring (Brelaz tie-breaking rule)."""
+    """Saturation-degree greedy coloring (Brelaz tie-breaking rule): seen[v] is
+    the bitset of the colors on v's colored neighbors; v takes its lowest 0 bit."""
     n = g.vertex_count
     colors: Coloring = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored_degree = [len(g.adjacency[v]) for v in range(n)]
-    for _ in range(n):
-        best = -1
-        best_sat = -1
-        best_deg = -1
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            sat = len(neighbor_colors[v])
-            deg = uncolored_degree[v]
-            # strict improvement on an ascending scan keeps the lowest index
-            if sat > best_sat or (sat == best_sat and deg > best_deg):
-                best, best_sat, best_deg = v, sat, deg
-        c = 0
-        while c in neighbor_colors[best]:
-            c += 1
-        colors[best] = c
-        for u in g.adjacency[best]:
+    seen = [0] * n
+    priority = [len(g.adjacency[v]) for v in range(n)]
+    uncolored = list(range(n))
+    while uncolored:
+        v = max(uncolored, key=priority.__getitem__)  # first of equals: lowest index
+        uncolored.remove(v)
+        c = ((seen[v] + 1) & ~seen[v]).bit_length() - 1
+        colors[v] = c
+        bit = 1 << c
+        for u in g.adjacency[v]:
             if colors[u] < 0:
-                neighbor_colors[u].add(c)
-                uncolored_degree[u] -= 1
+                priority[u] -= 1
+                if not seen[u] & bit:
+                    seen[u] |= bit
+                    priority[u] += n
     return colors
 
 

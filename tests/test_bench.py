@@ -55,11 +55,10 @@ class TestManifest:
         assert m.instances == ["a.col", "b.col"]
         assert m.methods == ["SA", "TS"]
         assert m.seeds == [1, 2]
-        assert m.budget_seconds == 30.0
-        assert m.param_overrides == {
-            "sa_iterations": 500, "ils_inner_seconds": 0.5, "hc_strict": True,
-            "sa_geometric": False,
-        }
+        assert m.params == SolverParams(
+            wall_budget_seconds=30.0, sa_iterations=500, ils_inner_seconds=0.5,
+            hc_strict=True, sa_geometric=False,
+        )
 
     def test_seeds_default(self, tmp_path):
         path = tmp_path / "run.manifest"
@@ -94,6 +93,8 @@ class TestManifest:
          r"bad\.manifest:3: seeds must be an integer, got 'two'"),
         ("instances = a.col\nmethods = hc\nbudget = soon\n",
          r"bad\.manifest:3: budget must be a number, got 'soon'"),
+        ("instances = a.col\nmethods = hc\nreferences =  # none\n",
+         r"bad\.manifest:3: references needs a file name"),
         # values that parse but that SolverParams rejects
         ("instances = a.col\nmethods = hc\nhc_iterations = 0\n",
          r"bad\.manifest:3: hc_iterations must be an integer of at least 1, got 0"),
@@ -118,8 +119,8 @@ class TestManifest:
         path = tmp_path / "ils.manifest"
         path.write_text("instances = a.col\nmethods = ils\n"
                         "ils_total_seconds = 5\nils_inner_seconds = 2\n")
-        assert parse_manifest(path).param_overrides == {
-            "ils_total_seconds": 5.0, "ils_inner_seconds": 2.0}
+        assert parse_manifest(path).params == SolverParams(
+            ils_total_seconds=5.0, ils_inner_seconds=2.0)
 
     def test_every_default_written_out_reads_back(self, tmp_path):
         # the manifest keys are read from the SolverParams schema: each field's
@@ -133,12 +134,8 @@ class TestManifest:
         m = parse_manifest(path)
         assert set(PARAM_OVERRIDES) | {"method", "wall_budget_seconds"} == {
             f.name for f in fields(SolverParams)}
-        assert m.param_overrides == {name: getattr(defaults, name)
-                                     for name in PARAM_OVERRIDES}
         assert m.methods == [defaults.method]
-        assert m.budget_seconds == defaults.wall_budget_seconds
-        assert SolverParams(method=m.methods[0], wall_budget_seconds=m.budget_seconds,
-                            **m.param_overrides) == defaults
+        assert m.params == defaults
 
     _KEYS = ["instances", "methods", "seeds", "budget", "references", "method",
              "wall_budget_seconds", "nonsense", *PARAM_OVERRIDES]
@@ -161,6 +158,9 @@ class TestManifest:
             pass
 
 
+FIVE_SECONDS = SolverParams(wall_budget_seconds=5.0)
+
+
 def _write_instance(tmp_path, name, n, edges):
     path = tmp_path / f"{name}.col"
     path.write_text(render_dimacs(n, edges))
@@ -175,7 +175,7 @@ def small_manifest(tmp_path):
         instances=[str(a), str(b)],
         methods=["HC", "TS"],
         seeds=[1, 2],
-        budget_seconds=5.0,
+        params=FIVE_SECONDS,
     )
 
 
@@ -200,7 +200,7 @@ class TestRunBenchmark:
         inst = _write_instance(tmp_path, "tri", 3, [(0, 1), (1, 2), (0, 2)])
         refs = tmp_path / "refs.txt"
         refs.write_text("tri 2\n")
-        manifest = BenchManifest([str(inst)], ["HC"], [1], 5.0,
+        manifest = BenchManifest([str(inst)], ["HC"], [1], FIVE_SECONDS,
                                  references_path=str(refs))
         rows, _ = run_benchmark(manifest)
         assert rows[0].best_known == 2
@@ -209,7 +209,7 @@ class TestRunBenchmark:
     def test_missing_instance_skipped_with_error(self, tmp_path):
         inst = _write_instance(tmp_path, "tri", 3, [(0, 1), (1, 2), (0, 2)])
         manifest = BenchManifest(
-            [str(inst), str(tmp_path / "ghost.col")], ["HC"], [1], 5.0)
+            [str(inst), str(tmp_path / "ghost.col")], ["HC"], [1], FIVE_SECONDS)
         rows, errors = run_benchmark(manifest)
         assert len(rows) == 1
         assert len(errors) == 1
@@ -222,7 +222,7 @@ class TestRunBenchmark:
         loop = tmp_path / "loop.col"
         loop.write_text("p edge 3 1\ne 2 2\n")
         bad = [str(tmp_path / "ghost.col"), str(binary), str(loop)]
-        manifest = BenchManifest([str(inst)] + bad, ["HC"], [1], 5.0)
+        manifest = BenchManifest([str(inst)] + bad, ["HC"], [1], FIVE_SECONDS)
         rows, errors = run_benchmark(manifest)
         assert len(rows) == 1
         assert len(errors) == 3

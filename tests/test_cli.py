@@ -106,6 +106,17 @@ class TestSolve:
         assert code == 2
         assert f"error: {refs}: not UTF-8 text" in err
 
+    def test_a_reference_listed_twice_exits_2_naming_its_line(self, capsys, tmp_path):
+        inst = tmp_path / "toy20.col"
+        inst.write_text(render_dimacs(3, [(0, 1)]))
+        refs = tmp_path / "refs.txt"
+        refs.write_text("toy20 3\ntoy20 4\n")
+        code, out, err = run_cli(capsys, "solve", str(inst), "--method", "hc",
+                                 "--references", str(refs), "--budget", "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {refs}:2: toy20 already listed at line 1\n"
+
     def test_improper_result_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("chroma.bench.solve_k_reduction",
                             lambda g, p, s, clock: ([0, 0, 0], 3, []))
@@ -216,6 +227,14 @@ class TestBenchAndReport:
                                "--out", str(tmp_path / "r.csv"))
         assert code == 2
         assert f"error: {manifest}: not UTF-8 text" in err
+
+    def test_empty_references_exits_2_naming_its_line(self, capsys, tmp_path):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text("instances = a.col\nmethods = hc\nreferences =\n")
+        code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert err == f"error: {manifest}:3: references needs a file name\n"
 
     def test_unrecognised_bool_exits_2(self, capsys, tmp_path):
         manifest = tmp_path / "bad.manifest"

@@ -180,6 +180,13 @@ class TestReferenceTable:
         with pytest.raises(ValueError, match=rf"refs\.txt:2: .*'{count}'"):
             read_reference_table(path)
 
+    def test_a_name_listed_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text("toy20 3\n# again\ntoy20 4\n")
+        with pytest.raises(ValueError,
+                           match=r"refs\.txt:3: toy20 already listed at line 1$"):
+            read_reference_table(path)
+
 
 class TestWriteResults:
     def test_csv_header_only_when_empty(self):
