@@ -49,7 +49,7 @@ class TestManifest:
             "sa_iterations = 500  # trimmed\n"
             "ils_inner_seconds = 0.5\n"
             "hc_strict = true\n"
-            "sa_geometric = No\n"
+            "sa_geometric = Yes\n"
         )
         m = parse_manifest(path)
         assert m.instances == ["a.col", "b.col"]
@@ -57,7 +57,7 @@ class TestManifest:
         assert m.seeds == [1, 2]
         assert m.params == SolverParams(
             wall_budget_seconds=30.0, sa_iterations=500, ils_inner_seconds=0.5,
-            hc_strict=True, sa_geometric=False,
+            hc_strict=True, sa_geometric=True,
         )
 
     def test_seeds_default(self, tmp_path):
@@ -136,6 +136,26 @@ class TestManifest:
             f.name for f in fields(SolverParams)}
         assert m.methods == [defaults.method]
         assert m.params == defaults
+
+    def test_every_key_reaches_params(self, tmp_path):
+        # each key is set away from its default, so one that parses but is
+        # not handed on to SolverParams leaves a default behind and shows here
+        values = {
+            "hc_iterations": 7, "sa_iterations": 11, "sa_decrement": 0.25,
+            "ts_iterations": 3, "ts_tabu_length": 4, "ts_num_tweaks": 5,
+            "ils_inner_seconds": 1.5, "ils_total_seconds": 2.5,
+            "ils_queue_length": 6, "hc_strict": True, "sa_geometric": True,
+            "ils_perturbation": 0.5, "initializer": "random",
+        }
+        assert set(values) == set(PARAM_OVERRIDES)
+        defaults = SolverParams()
+        assert all(value != getattr(defaults, name) for name, value in values.items())
+        lines = ["instances = a.col", "methods = hc", "budget = 30"]
+        lines += [f"{name} = {value}" for name, value in values.items()]
+        path = tmp_path / "every.manifest"
+        path.write_text("\n".join(lines) + "\n")
+        assert parse_manifest(path).params == SolverParams(
+            wall_budget_seconds=30.0, **values)
 
     _KEYS = ["instances", "methods", "seeds", "budget", "references", "method",
              "wall_budget_seconds", "nonsense", *PARAM_OVERRIDES]

@@ -98,92 +98,7 @@ class TestDsatur:
         assert is_proper(record.graph, coloring)
         assert color_count(coloring) >= record.best_known_colors == 44
 
-
-def brute_clique_number(g) -> int:
-    """Largest s with an s-vertex clique, scanning s upward; cliques are
-    closed under subsets, so the first size with none ends the scan."""
-    adjacency = [set(a) for a in g.adjacency]
-
-    def has_clique(size):
-        return any(all(v in adjacency[u] for u, v in itertools.combinations(vs, 2))
-                   for vs in itertools.combinations(range(g.vertex_count), size))
-
-    size = 0
-    while has_clique(size + 1):
-        size += 1
-    return size
-
-
-def complete_graph(n):
-    return build_graph(n, itertools.combinations(range(n), 2))
-
-
-def groetzsch_graph():
-    """Mycielski's graph of C5: 11 vertices, triangle-free, 4-chromatic."""
-    cycle = [(i, (i + 1) % 5) for i in range(5)]
-    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
-    apex = [(5 + i, 10) for i in range(5)]
-    return build_graph(11, cycle + shadows + apex)
-
-
-# sha256 of repr(dsatur(random_graph(n, p, seed))), recorded when each vertex
-# still kept a set of its neighbors' colors and the next vertex was picked by
-# a hand-written scan. A change of any DSatur choice shows here.
-DSATUR_GOLDEN = {
-    (1, 0.1, 1): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (1, 0.1, 2): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (1, 0.5, 1): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (1, 0.5, 2): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (1, 0.9, 1): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (1, 0.9, 2): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
-    (2, 0.1, 1): "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1",
-    (2, 0.1, 2): "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1",
-    (2, 0.5, 1): "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
-    (2, 0.5, 2): "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1",
-    (2, 0.9, 1): "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
-    (2, 0.9, 2): "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1",
-    (9, 0.1, 1): "6c881ba7ea2a6db6d3f747afefdbf5ef53568159672b07a6cfc3c9afafe3a4a0",
-    (9, 0.1, 2): "fa18dd5de87c98a0f49804f954d167a5271f9b4980dd21b5866767d051e6ce58",
-    (9, 0.5, 1): "48444ae2efed5bc45e24b894fcb9172150a4ac543f16ad099b0bc6fbe30863a4",
-    (9, 0.5, 2): "6275d6707595c6e8ff0f84c9687027384b5959a6768cac421dd58444a2a9a36b",
-    (9, 0.9, 1): "bf74cece01af8149566ed03c88a0385a5dffaad73666e6adb6d045d6a233abc5",
-    (9, 0.9, 2): "b17fdb37347c230ac6da2b72de0c15ba1ff507c19a7ff0d4c994bd7b16137d6f",
-    (30, 0.1, 1): "897ac9ca8c8dacfbb3963a24df3b68dd3653b2097ec2655cc4f06e44635a3e68",
-    (30, 0.1, 2): "f725b86de4ce71d2aee313a9e2b88fe3431197d615d14347d2946dbfc4081563",
-    (30, 0.5, 1): "ba4bfe4f5ef461307d17bd6cf53860946f46fdad48b6ab74bf090dc124aaa6b5",
-    (30, 0.5, 2): "07af74bd78a5ea5f7a0e367f14846bd51d55997bedff0eddc866fb81df47228c",
-    (30, 0.9, 1): "e13017178410a37e39489799bd1564147fddb6002ddac3dea20d0127cd3c5dc7",
-    (30, 0.9, 2): "2770a958365a1eea490cc989e56b0362f8025e58a85b4cca192a34ea0b1550ee",
-    (125, 0.1, 1): "9121ee22dfc8c76c2f61e699e41edad1c5d971569f46f5e3facf2061adfea6e9",
-    (125, 0.1, 2): "18f9b537da798924516d075a5186866892f8a8761aef7d20dbcb795b6cbd7fef",
-    (125, 0.5, 1): "7c522251334a0a7701bdae5a9d540bad17369da18a39cfe5dd59947429b97cb5",
-    (125, 0.5, 2): "e7ece733f29543f46a06bbde317f50d4f0ba0a6b4973eb475006cc74e7676203",
-    (125, 0.9, 1): "e7c5733c052abfab220f3e7fb006727f37e71704f5327e5c976948c5ebd52b49",
-    (125, 0.9, 2): "ba625adee7247241a289d21ca827c4a21e49906a9285bdf1a41e7885e6167776",
-    (250, 0.1, 1): "1af1b8afb9eed5113700305ccbaed55f60135e104bf11bc7d7d4d5eb4a56502d",
-    (250, 0.1, 2): "316cd448e9f63cf1b65a88b112e5ebfd37d6915858577ebb2efc0c6e3e3d9a4c",
-    (250, 0.5, 1): "6de2db8e7e7a46b843be591048508975acbd2d176e19f8abe653adc3f8f148e5",
-    (250, 0.5, 2): "65fccca5fe4b1123ee34699845e6d6d446bfb382bbcc60bbc81fb49f91ee497e",
-    (250, 0.9, 1): "bdbcb7e0c36ec57b6e82d34c1014172dafc2d929559c72e5dd5639ba3c4ac9cd",
-    (250, 0.9, 2): "1a0ce1c819acdf7489577842b67c5d08eb280a97391922069824cad6b12a5bc4",
-}
-
-
-def cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-class TestDsaturGolden:
-    @pytest.mark.parametrize("n, p, seed", sorted(DSATUR_GOLDEN))
-    def test_random_graph(self, n, p, seed):
-        coloring = dsatur(random_graph(n, p, seed))
-        digest = hashlib.sha256(repr(coloring).encode()).hexdigest()
-        assert digest == DSATUR_GOLDEN[n, p, seed]
-
     # graphs where most choices are ties, broken by the lowest index
-    def test_edgeless(self):
-        assert dsatur(build_graph(6, [])) == [0, 0, 0, 0, 0, 0]
-
     def test_complete(self):
         assert dsatur(complete_graph(5)) == [0, 1, 2, 3, 4]
 
@@ -216,6 +131,79 @@ class TestDsaturGolden:
     @given(graphs(max_n=30))
     def test_matches_the_rule_read_literally(self, g):
         assert dsatur(g) == reference_dsatur(g)
+
+
+def brute_clique_number(g) -> int:
+    """Largest s with an s-vertex clique, scanning s upward; cliques are
+    closed under subsets, so the first size with none ends the scan."""
+    adjacency = [set(a) for a in g.adjacency]
+
+    def has_clique(size):
+        return any(all(v in adjacency[u] for u, v in itertools.combinations(vs, 2))
+                   for vs in itertools.combinations(range(g.vertex_count), size))
+
+    size = 0
+    while has_clique(size + 1):
+        size += 1
+    return size
+
+
+def complete_graph(n):
+    return build_graph(n, itertools.combinations(range(n), 2))
+
+
+def cycle_graph(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def groetzsch_graph():
+    """Mycielski's graph of C5: 11 vertices, triangle-free, 4-chromatic."""
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    apex = [(5 + i, 10) for i in range(5)]
+    return build_graph(11, cycle + shadows + apex)
+
+
+# sha256 of repr(dsatur(random_graph(n, p, seed))), recorded when each vertex
+# still kept a set of its neighbors' colors and the next vertex was picked by
+# a hand-written scan. A change of any DSatur choice shows here.
+DSATUR_GOLDEN = {
+    (1, 0.5, 1): "d0bca111f8628137adc4c16f123496dcdd1d590d06cb5d9acd68b39fe656fb97",
+    (2, 0.1, 1): "ab395cb4c41927dc03d8d0b9e1de32ba2761d97d7d85b9c89fc54ae3591dc0e1",
+    (2, 0.5, 1): "923682bea6d517dc178d480c88e129e485ed902f4fa024866666658cd4ea6836",
+    (9, 0.1, 1): "6c881ba7ea2a6db6d3f747afefdbf5ef53568159672b07a6cfc3c9afafe3a4a0",
+    (9, 0.1, 2): "fa18dd5de87c98a0f49804f954d167a5271f9b4980dd21b5866767d051e6ce58",
+    (9, 0.5, 1): "48444ae2efed5bc45e24b894fcb9172150a4ac543f16ad099b0bc6fbe30863a4",
+    (9, 0.5, 2): "6275d6707595c6e8ff0f84c9687027384b5959a6768cac421dd58444a2a9a36b",
+    (9, 0.9, 1): "bf74cece01af8149566ed03c88a0385a5dffaad73666e6adb6d045d6a233abc5",
+    (9, 0.9, 2): "b17fdb37347c230ac6da2b72de0c15ba1ff507c19a7ff0d4c994bd7b16137d6f",
+    (30, 0.1, 1): "897ac9ca8c8dacfbb3963a24df3b68dd3653b2097ec2655cc4f06e44635a3e68",
+    (30, 0.1, 2): "f725b86de4ce71d2aee313a9e2b88fe3431197d615d14347d2946dbfc4081563",
+    (30, 0.5, 1): "ba4bfe4f5ef461307d17bd6cf53860946f46fdad48b6ab74bf090dc124aaa6b5",
+    (30, 0.5, 2): "07af74bd78a5ea5f7a0e367f14846bd51d55997bedff0eddc866fb81df47228c",
+    (30, 0.9, 1): "e13017178410a37e39489799bd1564147fddb6002ddac3dea20d0127cd3c5dc7",
+    (30, 0.9, 2): "2770a958365a1eea490cc989e56b0362f8025e58a85b4cca192a34ea0b1550ee",
+    (125, 0.1, 1): "9121ee22dfc8c76c2f61e699e41edad1c5d971569f46f5e3facf2061adfea6e9",
+    (125, 0.1, 2): "18f9b537da798924516d075a5186866892f8a8761aef7d20dbcb795b6cbd7fef",
+    (125, 0.5, 1): "7c522251334a0a7701bdae5a9d540bad17369da18a39cfe5dd59947429b97cb5",
+    (125, 0.5, 2): "e7ece733f29543f46a06bbde317f50d4f0ba0a6b4973eb475006cc74e7676203",
+    (125, 0.9, 1): "e7c5733c052abfab220f3e7fb006727f37e71704f5327e5c976948c5ebd52b49",
+    (125, 0.9, 2): "ba625adee7247241a289d21ca827c4a21e49906a9285bdf1a41e7885e6167776",
+    (250, 0.1, 1): "1af1b8afb9eed5113700305ccbaed55f60135e104bf11bc7d7d4d5eb4a56502d",
+    (250, 0.1, 2): "316cd448e9f63cf1b65a88b112e5ebfd37d6915858577ebb2efc0c6e3e3d9a4c",
+    (250, 0.5, 1): "6de2db8e7e7a46b843be591048508975acbd2d176e19f8abe653adc3f8f148e5",
+    (250, 0.5, 2): "65fccca5fe4b1123ee34699845e6d6d446bfb382bbcc60bbc81fb49f91ee497e",
+    (250, 0.9, 1): "bdbcb7e0c36ec57b6e82d34c1014172dafc2d929559c72e5dd5639ba3c4ac9cd",
+    (250, 0.9, 2): "1a0ce1c819acdf7489577842b67c5d08eb280a97391922069824cad6b12a5bc4",
+}
+
+
+class TestDsaturGolden:
+    @pytest.mark.parametrize("n, p, seed", sorted(DSATUR_GOLDEN))
+    def test_random_graph(self, n, p, seed):
+        coloring = dsatur(random_graph(n, p, seed))
+        digest = hashlib.sha256(repr(coloring).encode()).hexdigest()
+        assert digest == DSATUR_GOLDEN[n, p, seed]
 
 
 def reference_dsatur(g):
