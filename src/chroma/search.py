@@ -14,6 +14,15 @@ of up to 16 vertices that bound is the chromatic number itself (the clique
 number when it already equals DSatur's k, else the exact value), so no level
 that can only fail is run there.
 
+The two hot loops, `_climb` (HC, SA and the ILS inner climb) and tabu
+search's sample loop, draw and evaluate the move inline rather than through
+helper calls, which cost more than the move itself. Each index is drawn with
+the rejection draw that `random.Random.randrange(m)` makes on Python 3.10 and
+3.11: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
+the color draw is randrange(1), which still takes one bit per move. The rng
+stream, and so every seeded trajectory, is the one `randrange` would give.
+`_perturb`, `random_coloring` and ILS's `rng.sample` still call the stdlib.
+
 Every method is deterministic given (graph, params, seed), except that a real
 wall clock may cut time-driven loops at machine-dependent points; under the
 virtual clock (see chroma.clock) runs are fully reproducible.
@@ -174,10 +183,6 @@ class _ConflictState:
         self.total = sum(own) // 2
         self.conflicted = [v for v, hits in enumerate(own) if hits]
 
-    def delta(self, v: int, new_color: int) -> int:
-        """Change in total conflicts if v were recolored to new_color."""
-        return (self.masks[v] & self.classes[new_color]).bit_count() - self.own[v]
-
     def apply(self, v: int, new_color: int) -> None:
         colors = self.colors
         classes = self.classes
@@ -213,19 +218,6 @@ class _ConflictState:
         classes[old] ^= bit
         classes[new_color] |= bit
         colors[v] = new_color
-
-
-def _draw_move(rng: random.Random, colors: Sequence[int], k: int,
-               conflicted_sorted: Sequence[int]) -> tuple[int, int]:
-    """Draw (vertex, new color): vertex uniform over the conflicted set when
-    nonempty, otherwise over all vertices; color uniform over the k-1 others."""
-    if conflicted_sorted:
-        v = conflicted_sorted[rng.randrange(len(conflicted_sorted))]
-    else:
-        v = rng.randrange(len(colors))
-    r = rng.randrange(k - 1)
-    old = colors[v]
-    return v, (r if r < old else r + 1)
 
 
 def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
@@ -266,34 +258,59 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     at zero temperature the move stream is that of plateau hill climbing.
     Stops at a zero-conflict state, after `iterations` moves or at `stop_at`;
     returns (best coloring, its conflicts, evaluations performed).
+
+    The move is drawn and costed inline, with `randrange`'s rejection draw
+    (see the module docstring): a call per draw would cost more than the AND
+    and popcount that evaluate the move. The loop runs only while best_conf,
+    which never exceeds the state's conflicts, is above 0, so the vertex is
+    always drawn from `conflicted`.
     """
-    best = list(state.colors)
+    getrandbits = rng.getrandbits
+    masks = state.masks
+    classes = state.classes
+    own = state.own
+    colors = state.colors
+    conflicted = state.conflicted
+    apply = state.apply
+    tick = clock.tick
+    now = clock.now
+    others = k - 1
+    others_bits = others.bit_length()
+    best = list(colors)
     best_conf = state.total
-    evals = 0
     i = 0
     while best_conf > 0:
         if iterations is not None and i >= iterations:
             break
-        if stop_at is not None and clock.now() >= stop_at:
+        if stop_at is not None and now() >= stop_at:
             break
         i += 1
-        v, new = _draw_move(rng, state.colors, k, state.conflicted)
-        d = state.delta(v, new)
-        clock.tick()
-        evals += 1
+        m = len(conflicted)
+        b = m.bit_length()
+        r = getrandbits(b)
+        while r >= m:
+            r = getrandbits(b)
+        v = conflicted[r]
+        old = colors[v]
+        r = getrandbits(others_bits)
+        while r >= others:
+            r = getrandbits(others_bits)
+        new = r if r < old else r + 1
+        d = (masks[v] & classes[new]).bit_count() - own[v]
+        tick()
         if d > 0:
             t = schedule(i) if schedule is not None else 0.0
             accept = t > 0.0 and rng.random() < math.exp(-d / t)
         else:
             accept = d < 0 or not strict
         if accept:
-            state.apply(v, new)
+            apply(v, new)
             if state.total < best_conf:
                 best_conf = state.total
-                best = list(state.colors)
+                best = list(colors)
             if on_accept is not None:
-                on_accept(i, state.total, clock.now() - t_origin)
-    return best, best_conf, evals
+                on_accept(i, state.total, now() - t_origin)
+    return best, best_conf, i
 
 
 def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
@@ -352,6 +369,9 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     Colorings are fingerprinted with an incremental 64-bit Zobrist hash (see
     _zobrist_table): the current coloring's hash is kept up to date, and a
     candidate's is derived from it in O(1) without touching the coloring.
+
+    Candidates are drawn and costed inline with the same lines as in _climb,
+    and for the same reason each vertex is drawn from `conflicted`.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
@@ -362,30 +382,50 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     h = 0
     for v, c in enumerate(state.colors):
         h ^= table[v][c]
+    getrandbits = rng.getrandbits
+    masks = state.masks
+    classes = state.classes
+    own = state.own
+    colors = state.colors
+    conflicted = state.conflicted
+    apply = state.apply
+    tick = clock.tick
+    others = k - 1
+    others_bits = others.bit_length()
+    num_tweaks = params.ts_num_tweaks
     for i in range(1, params.ts_iterations + 1):
         if best_conf == 0:
             break
         if deadline is not None and clock.now() >= deadline:
             break
-        conflicted = state.conflicted
-        colors = state.colors
+        total = state.total
         chosen: Optional[tuple[int, int, int, int]] = None  # (conflicts, v, color, fp)
-        for _ in range(params.ts_num_tweaks):
-            v, new = _draw_move(rng, colors, k, conflicted)
-            d = state.delta(v, new)
-            clock.tick()
-            evals += 1
+        for _ in range(num_tweaks):
+            m = len(conflicted)
+            b = m.bit_length()
+            r = getrandbits(b)
+            while r >= m:
+                r = getrandbits(b)
+            v = conflicted[r]
+            old = colors[v]
+            r = getrandbits(others_bits)
+            while r >= others:
+                r = getrandbits(others_bits)
+            new = r if r < old else r + 1
+            d = (masks[v] & classes[new]).bit_count() - own[v]
+            tick()
             row = table[v]
-            fp = h ^ row[colors[v]] ^ row[new]
+            fp = h ^ row[old] ^ row[new]
             if fp in tabu:
                 continue
-            cand_conf = state.total + d
+            cand_conf = total + d
             if chosen is None or cand_conf < chosen[0]:
                 chosen = (cand_conf, v, new, fp)
+        evals += num_tweaks
         if chosen is None:
             continue
         _, v, new, fp = chosen
-        state.apply(v, new)
+        apply(v, new)
         h = fp
         tabu.push(fp)
         if state.total < best_conf:

@@ -1,10 +1,11 @@
+import math
 import os
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from chroma import build_graph
+from chroma import build_graph, conflict_count, conflicted_vertices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -71,6 +72,97 @@ def colored_graphs(draw, min_n=1, max_n=12, max_color=5):
     n, edges = draw(edge_lists(min_n, max_n))
     colors = draw(st.lists(st.integers(0, max_color), min_size=n, max_size=n))
     return n, edges, build_graph(n, edges), colors
+
+
+@st.composite
+def hub_graphs(draw, min_n=10, max_n=20):
+    """Graphs with a gap of more than n / 2 in uncolored degree: two
+    non-adjacent hubs share the top n // 2 + 2 vertices as leaves, over a
+    random graph on the other vertices (the core). Once one hub is colored,
+    its leaves are saturated with one uncolored neighbor each, while the other
+    hub, unsaturated, has more than n / 2; the core, lower in index, is
+    colored in between. A saturation weight below n ranks them wrongly."""
+    n = draw(st.integers(min_n, max_n))
+    core = n - (n // 2 + 2)
+    a, b = draw(st.lists(st.integers(0, core - 1), min_size=2, max_size=2, unique=True))
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core) if {u, v} != {a, b}]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    edges += [(hub, leaf) for leaf in range(core, n) for hub in (a, b)]
+    return build_graph(n, edges)
+
+
+def reference_draw_move(rng, colors, k, conflicted_sorted):
+    """Draw (vertex, new color) with rng.randrange: the vertex uniform over
+    the conflicted set when nonempty, otherwise over all vertices; the color
+    uniform over the k-1 others. The move the search kernels draw inline."""
+    if conflicted_sorted:
+        v = conflicted_sorted[rng.randrange(len(conflicted_sorted))]
+    else:
+        v = rng.randrange(len(colors))
+    r = rng.randrange(k - 1)
+    old = colors[v]
+    return v, (r if r < old else r + 1)
+
+
+def reference_recolor(g, k, colors, rng):
+    """One drawn move on a plain coloring: (the moved coloring, its conflicts
+    by a full recount)."""
+    v, new = reference_draw_move(rng, colors, k, sorted(conflicted_vertices(g, colors)))
+    moved = colors[:v] + [new] + colors[v + 1:]
+    return moved, conflict_count(g, moved)
+
+
+def reference_climb(g):
+    """A stand-in for chroma.search._climb on graph g, with its signature and
+    contract read literally: each move drawn by reference_draw_move and
+    costed by recounting the moved coloring. Only the state's colors are
+    read, and the state is left as it was."""
+    def climb(k, state, *, rng, clock, t_origin, iterations=None, stop_at=None,
+              strict=False, schedule=None, on_accept=None):
+        colors = list(state.colors)
+        conf = conflict_count(g, colors)
+        best, best_conf = list(colors), conf
+        i = 0
+        while best_conf > 0:
+            if iterations is not None and i >= iterations:
+                break
+            if stop_at is not None and clock.now() >= stop_at:
+                break
+            i += 1
+            moved, moved_conf = reference_recolor(g, k, colors, rng)
+            d = moved_conf - conf
+            clock.tick()
+            if d > 0:
+                t = schedule(i) if schedule is not None else 0.0
+                accept = t > 0.0 and rng.random() < math.exp(-d / t)
+            else:
+                accept = d < 0 or not strict
+            if accept:
+                colors, conf = moved, moved_conf
+                if conf < best_conf:
+                    best, best_conf = list(colors), conf
+                if on_accept is not None:
+                    on_accept(i, conf, clock.now() - t_origin)
+        return best, best_conf, i
+    return climb
+
+
+def reference_ts_sample(g, k, colors, rng, clock, num_tweaks, fingerprint, tabu):
+    """One tabu-search sample read literally: draw num_tweaks moves with
+    reference_draw_move, cost each by a full recount, drop those whose moved
+    coloring's fingerprint(coloring) is in `tabu`, and return (conflicts,
+    moved coloring, fingerprint) of the first lowest survivor, or None."""
+    chosen = None
+    for _ in range(num_tweaks):
+        moved, moved_conf = reference_recolor(g, k, colors, rng)
+        clock.tick()
+        fp = fingerprint(moved)
+        if fp in tabu:
+            continue
+        if chosen is None or moved_conf < chosen[0]:
+            chosen = (moved_conf, moved, fp)
+    return chosen
 
 
 @pytest.fixture

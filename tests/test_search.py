@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chroma.search as search_module
-from chroma import (METHODS, FingerprintFifo, SolverParams, VirtualClock,
-                    WallClock, build_graph, chromatic_lower_bound,
+from chroma import (METHODS, FingerprintFifo, SearchOutcome, SolverParams,
+                    VirtualClock, WallClock, build_graph, chromatic_lower_bound,
                     chromatic_number_exact, color_count,
                     conflict_count, conflicted_vertices,
                     dsatur, hill_climbing, is_proper, iterated_local_search,
                     project_coloring, random_graph, simulated_annealing,
                     solve_k_reduction, tabu_search)
 
-from conftest import graphs
+from conftest import (graphs, reference_climb, reference_draw_move,
+                      reference_ts_sample)
 
 
 def params(**overrides) -> SolverParams:
@@ -86,12 +87,12 @@ class TestFingerprintFifo:
 
 
 class TestTweak:
-    """The move every search draws (_draw_move), on the triangle."""
+    """The move every search draws (reference_draw_move, which the kernels
+    match draw for draw: see TestMoveKernel), on the triangle."""
 
     @staticmethod
     def draw(g, colors, k, rng):
-        return search_module._draw_move(rng, colors, k,
-                                        sorted(conflicted_vertices(g, colors)))
+        return reference_draw_move(rng, colors, k, sorted(conflicted_vertices(g, colors)))
 
     def test_changes_exactly_one_conflicted_vertex(self, k3):
         rng = random.Random(0)
@@ -158,7 +159,8 @@ class TestConflictState:
 
     @staticmethod
     def assert_recounted(state, g, k, recount_moves=True):
-        """Check classes, own, total, conflicted and every delta. Each delta
+        """Check classes, own, total, conflicted and every move's cost, as
+        the search kernels compute it from masks, classes and own. Each cost
         is checked against a recount of the moved coloring, or with
         `recount_moves` false, against v's neighbors counted by color."""
         colors = state.colors
@@ -182,7 +184,8 @@ class TestConflictState:
                         expected = conflict_count(g, moved) - base
                     else:
                         expected = by_color[v][c] - by_color[v][colors[v]]
-                    assert state.delta(v, c) == expected, (v, c)
+                    cost = (state.masks[v] & state.classes[c]).bit_count() - state.own[v]
+                    assert cost == expected, (v, c)
 
     @settings(deadline=None)
     @given(recolorings())
@@ -210,6 +213,102 @@ class TestConflictState:
             old = state.colors[v]
             state.apply(v, r if r < old else r + 1)
             self.assert_recounted(state, g, k, recount_moves=False)
+
+
+@st.composite
+def search_cases(draw):
+    """(graph, k from 2 to 5, initial coloring, seed)."""
+    g = draw(graphs(min_n=2))
+    k = draw(st.integers(2, 5))
+    n = g.vertex_count
+    init = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return g, k, init, draw(st.integers(0, 2**32))
+
+
+def run_recorded(search, g, k, init, p, seed, **kwargs):
+    """(outcome, on_accept events) of one run under a fresh virtual clock."""
+    events = []
+    out = search(g, k, init, p, seed, clock=VirtualClock(),
+                 on_accept=lambda *event: events.append(event), **kwargs)
+    return out, events
+
+
+def reference_tabu_search(g, k, init, p, seed):
+    """tabu_search read literally around reference_ts_sample, with each
+    candidate fingerprinted from scratch; returns what run_recorded does."""
+    clock = VirtualClock()
+    rng = random.Random(seed)
+    clock.tick()  # the initial coloring's evaluation
+    table = search_module._zobrist_table(g.vertex_count, k)
+
+    def fingerprint(colors):
+        h = 0
+        for v, c in enumerate(colors):
+            h ^= table[v][c]
+        return h
+
+    colors = list(init)
+    best, best_conf = list(colors), conflict_count(g, colors)
+    tabu = deque(maxlen=p.ts_tabu_length)
+    evals = 1
+    events = []
+    for i in range(1, p.ts_iterations + 1):
+        if best_conf == 0:
+            break
+        chosen = reference_ts_sample(g, k, colors, rng, clock, p.ts_num_tweaks,
+                                     fingerprint, tabu)
+        evals += p.ts_num_tweaks
+        if chosen is None:
+            continue
+        conf, colors, fp = chosen
+        tabu.append(fp)
+        if conf < best_conf:
+            best, best_conf = list(colors), conf
+        events.append((i, conf, clock.now()))
+    return SearchOutcome(best, best_conf, evals, clock.now()), events
+
+
+class TestMoveKernel:
+    """The inline move kernels of _climb and tabu_search against references
+    that draw with rng.randrange and recount every move's cost: the same
+    coloring, conflicts, evaluations, elapsed time and on_accept events.
+    k = 2 is included, where each color draw is randrange(1), one bit."""
+
+    @staticmethod
+    def assert_climb_matches(search, case, p, **kwargs):
+        g, k, init, seed = case
+        kernel = run_recorded(search, g, k, init, p, seed, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_climb", reference_climb(g))
+            reference = run_recorded(search, g, k, init, p, seed, **kwargs)
+        assert kernel == reference
+
+    @settings(deadline=None)
+    @given(search_cases(), st.booleans())
+    def test_hill_climbing(self, case, strict):
+        self.assert_climb_matches(hill_climbing, case,
+                                  params(hc_iterations=300, hc_strict=strict))
+
+    @settings(deadline=None)
+    @given(search_cases())
+    def test_simulated_annealing(self, case):
+        # hot enough to accept worsening moves, then at or below zero
+        self.assert_climb_matches(simulated_annealing, case, params(sa_iterations=300),
+                                  schedule=lambda i: 2.0 - i / 100)
+
+    @settings(deadline=None)
+    @given(search_cases())
+    def test_iterated_local_search(self, case):
+        self.assert_climb_matches(iterated_local_search, case,
+                                  params(ils_inner_seconds=0.02, ils_total_seconds=0.2))
+
+    @settings(deadline=None)
+    @given(search_cases(), st.integers(1, 12))
+    def test_tabu_search(self, case, tabu_length):
+        g, k, init, seed = case
+        p = params(ts_iterations=40, ts_tabu_length=tabu_length)
+        assert (run_recorded(tabu_search, g, k, init, p, seed)
+                == reference_tabu_search(g, k, init, p, seed))
 
 
 class TestProjectColoring:
