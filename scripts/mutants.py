@@ -1,0 +1,158 @@
+"""Mutation checks: does each named defect fail the tests meant to catch it?
+
+Each mutant is one exact source-text replacement in one file, with the tests
+that must fail once it is applied. For every mutant the script copies
+src/, tests/, scripts/, data/ and pyproject.toml to a temporary directory,
+applies the replacement there and runs each named test on its own.
+Hypothesis runs with a fixed seed, so a run can be repeated.
+
+Exit status 1 if a mutant survives (one of its tests passes), if the text it
+replaces does not occur exactly once in its file, or if a named test fails on
+the unmutated tree; 0 otherwise. Needs only the stdlib and the test
+dependencies (pytest, hypothesis). The repository tree itself is never
+modified.
+
+Usage: python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "data")
+
+SEARCH = "src/chroma/search.py"
+HEURISTICS = "src/chroma/heuristics.py"
+BENCH = "src/chroma/bench.py"
+DIMACS = "src/chroma/dimacs.py"
+
+CLIMB_KERNEL = "tests/test_search.py::TestMoveKernel::test_hill_climbing"
+TS_KERNEL = "tests/test_search.py::TestMoveKernel::test_tabu_search"
+GOLDEN = "tests/test_golden.py::test_golden_trajectory"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids; every one must fail
+
+
+def _kernel_mutants(label: str, indent: str, tests: tuple[str, ...]) -> list[Mutant]:
+    """The four move-kernel mutants in one loop. _climb's kernel sits at
+    8 spaces, tabu search's sample loop at 12, which tells the two apart."""
+    return [
+        Mutant(f"{label}: r > m in the vertex draw", SEARCH,
+               f"\n{indent}while r >= m:\n", f"\n{indent}while r > m:\n", tests),
+        Mutant(f"{label}: len(colors) for len(conflicted)", SEARCH,
+               f"\n{indent}m = len(conflicted)\n", f"\n{indent}m = len(colors)\n", tests),
+        Mutant(f"{label}: the r + 1 skip of the old color dropped", SEARCH,
+               f"\n{indent}new = r if r < old else r + 1\n", f"\n{indent}new = r\n", tests),
+        Mutant(f"{label}: own[v] left out of the move cost", SEARCH,
+               f"\n{indent}d = (masks[v] & classes[new]).bit_count() - own[v]\n",
+               f"\n{indent}d = (masks[v] & classes[new]).bit_count()\n", tests),
+    ]
+
+
+MUTANTS = [
+    Mutant("dsatur: saturation weight n // 2", HEURISTICS,
+           "priority[u] += n\n", "priority[u] += n // 2\n",
+           ("tests/test_heuristics.py::TestDsatur::test_matches_the_rule_across_large_degree_gaps",)),
+    Mutant("dsatur: vertices scanned in descending order", HEURISTICS,
+           "uncolored = list(range(n))\n", "uncolored = list(range(n - 1, -1, -1))\n",
+           ("tests/test_heuristics.py::TestDsaturGolden",
+            "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_read_literally")),
+    Mutant("apply: old class bit left uncleared", SEARCH,
+           "classes[old] ^= bit\n", "pass\n",
+           ("tests/test_search.py::TestConflictState::test_matches_recount_after_every_apply",
+            "tests/test_search.py::TestConflictState::test_matches_recount_above_one_bigint_digit")),
+    Mutant("apply: neighbor insort dropped", SEARCH,
+           "if hits == 1:\n                insort(conflicted, u)\n",
+           "if hits == 1:\n                pass\n",
+           ("tests/test_search.py::TestConflictState::test_matches_recount_after_every_apply",)),
+    Mutant("_climb: move cost masked to 40 bits", SEARCH,
+           "\n        d = (masks[v] & classes[new]).bit_count() - own[v]\n",
+           "\n        d = (masks[v] & classes[new] & (1 << 40) - 1).bit_count() - own[v]\n",
+           (GOLDEN,)),
+    *_kernel_mutants("_climb", " " * 8, (CLIMB_KERNEL, GOLDEN)),
+    *_kernel_mutants("tabu_search", " " * 12, (TS_KERNEL, GOLDEN)),
+    Mutant("tabu_search: tabu list one longer than ts_tabu_length", SEARCH,
+           "deque(maxlen=params.ts_tabu_length)", "deque(maxlen=params.ts_tabu_length + 1)",
+           ("tests/test_acceptance.py::test_criterion_7_fifo_memory_invariants", TS_KERNEL)),
+    Mutant("ILS: adopts results of equal conflicts", SEARCH,
+           "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
+           ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),
+    Mutant("parse_manifest: hc_strict parsed but dropped", BENCH,
+           "            overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
+           "            if key != 'hc_strict':\n"
+           "                overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
+           ("tests/test_bench.py::TestManifest::test_every_key_reaches_params",)),
+    Mutant("read_reference_table: duplicate-name check removed", DIMACS,
+           "if parts[0] in first_lines:", "if False:",
+           ("tests/test_dimacs.py::TestReferenceTable::test_a_name_listed_twice_names_both_lines",
+            "tests/test_cli.py::TestSolve::test_a_reference_listed_twice_exits_2_naming_its_line")),
+    Mutant("read_results_csv: method check removed", BENCH,
+           "            if rec[\"method\"] not in METHODS:\n", "            if False:\n",
+           ("tests/test_cli.py::TestBenchAndReport::test_report_malformed_row_exits_2_naming_its_line",)),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        shutil.copytree(ROOT / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest)  # pytest's settings
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
+    """True when every test passes, run in `tree` against its own src/."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+def check(mutant: Mutant) -> list[str]:
+    """The problems found with one mutant; empty when all its tests kill it."""
+    with tempfile.TemporaryDirectory(prefix="chroma-mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        target = tree / mutant.path
+        source = target.read_text(encoding="utf-8")
+        found = source.count(mutant.old)
+        if found != 1:
+            return [f"its text occurs {found} times in {mutant.path}, not once"]
+        target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+        return [f"survives {test}" for test in mutant.tests if run_tests(tree, (test,))]
+
+
+def main() -> int:
+    named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    with tempfile.TemporaryDirectory(prefix="chroma-clean-") as tmp:
+        copy_tree(Path(tmp))
+        if not run_tests(Path(tmp), tuple(named)):
+            print("the named tests do not all pass on the unmutated tree", file=sys.stderr)
+            return 1
+    failed = 0
+    for mutant in MUTANTS:
+        problems = check(mutant)
+        print(f"{'FAIL' if problems else 'killed'}: {mutant.name}", flush=True)
+        for problem in problems:
+            print(f"  {problem}", flush=True)
+        failed += bool(problems)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed by all their tests")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

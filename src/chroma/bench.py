@@ -90,7 +90,9 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 raise ValueError(f"expected {len(reader.fieldnames)} fields")
             if rec["proper"] not in ("true", "false"):
                 raise ValueError(f"proper must be true or false, got {rec['proper']!r}")
-            rows.append(RunResult(
+            if rec["method"] not in METHODS:
+                raise ValueError(f"method must be one of {METHODS}, got {rec['method']!r}")
+            row = RunResult(
                 instance=rec["instance"],
                 method=rec["method"],
                 seed=int(rec["seed"]),
@@ -99,7 +101,12 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 wall_seconds=float(rec["wall_seconds"]),
                 best_known=int(rec["best_known"]) if rec["best_known"] else None,
                 diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
-            ))
+            )
+            for key in ("k_colors", "best_known"):
+                count = getattr(row, key)
+                if count is not None and count < 1:
+                    raise ValueError(f"{key} must be at least 1, got {count}")
+            rows.append(row)
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{name}:{reader.line_num}: {exc}") from None
     return rows

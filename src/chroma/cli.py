@@ -9,6 +9,7 @@ or malformed input, 1 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Optional
 
 from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
                     parse_manifest, read_results_csv, run_benchmark, run_cell)
-from .dimacs import DimacsError, load_instance, read_reference_table
+from .dimacs import DimacsError, load_instance, read_reference_table, read_utf8
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
 from .search import METHODS, SolverParams
 
@@ -106,8 +107,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.input) as stream:
-        rows = read_results_csv(stream)
+    stream = io.StringIO(read_utf8(Path(args.input)))
+    stream.name = args.input  # read_results_csv names the file in its errors
+    rows = read_results_csv(stream)
     sys.stdout.write(compare_report(rows))
     return 0
 

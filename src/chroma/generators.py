@@ -18,23 +18,3 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     ]
     return build_graph(n, edges)
 
-
-def random_bipartite_graph(left: int, right: int, p: float, seed: int) -> Graph:
-    """Random bipartite graph on sides {0..left-1} and {left..left+right-1}.
-
-    Always contains at least one edge (a fallback edge joins the first vertex
-    of each side if the random draw produces none), so a 2-coloring is the
-    optimum whenever both sides are nonempty.
-    """
-    if left < 1 or right < 1:
-        raise ValueError("both sides must be nonempty")
-    rng = random.Random(seed)
-    edges = [
-        (u, left + v)
-        for u in range(left)
-        for v in range(right)
-        if rng.random() < p
-    ]
-    if not edges:
-        edges.append((0, left))
-    return build_graph(left + right, edges)

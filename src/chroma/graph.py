@@ -93,37 +93,9 @@ def is_proper(g: Graph, colors: Sequence[int]) -> bool:
     return True
 
 
-def conflict_count(g: Graph, colors: Sequence[int]) -> int:
-    """Number of monochromatic edges; 0 iff the coloring is proper."""
-    _check_length(g, colors)
-    total = 0
-    for u in range(g.vertex_count):
-        cu = colors[u]
-        for v in g.adjacency[u]:
-            if v > u and colors[v] == cu:
-                total += 1
-    return total
-
-
-def conflicted_vertices(g: Graph, colors: Sequence[int]) -> set[int]:
-    """Vertices incident to at least one monochromatic edge."""
-    _check_length(g, colors)
-    out: set[int] = set()
-    for u in range(g.vertex_count):
-        cu = colors[u]
-        for v in g.adjacency[u]:
-            if v > u and colors[v] == cu:
-                out.add(u)
-                out.add(v)
-    return out
-
-
 def color_count(colors: Sequence[int]) -> int:
     """Number of distinct color values present in a nonempty coloring."""
     if not colors:
         raise ValueError("color_count of an empty coloring is undefined")
     return len(set(colors))
 
-
-def max_degree(g: Graph) -> int:
-    return max((len(neighbors) for neighbors in g.adjacency), default=0)

@@ -131,29 +131,6 @@ def _zobrist_table(n: int, k: int) -> list[tuple[int, ...]]:
     return [words[v * k:(v + 1) * k] for v in range(n)]
 
 
-class FingerprintFifo:
-    """Bounded FIFO memory of coloring fingerprints, evicting strictly
-    oldest-first: the tabu list of tabu_search."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be at least 1, got {capacity}")
-        self._entries: deque[int] = deque(maxlen=capacity)
-
-    def push(self, fingerprint: int) -> None:
-        self._entries.append(fingerprint)
-
-    def __contains__(self, fingerprint: int) -> bool:
-        return fingerprint in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(self._entries)
-
-
 class _ConflictState:
     """Working coloring with color-class bitsets, in the bit-parallel style of
     BBMC (San Segundo et al. 2011).
@@ -362,7 +339,8 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     """Best-of-sample moves barred from revisiting recently seen colorings.
 
     Each iteration draws ts_num_tweaks candidates from the current coloring,
-    drops those whose fingerprint sits in the tabu list, and moves to the
+    drops those whose fingerprint sits in the tabu list (the fingerprints of
+    the last ts_tabu_length colorings moved to), and moves to the
     lowest-conflict survivor (first drawn wins ties), even when worsening.
     An all-tabu sample makes no move that iteration.
 
@@ -377,7 +355,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     evals = 1
     best = list(state.colors)
     best_conf = state.total
-    tabu = FingerprintFifo(params.ts_tabu_length)
+    tabu = deque(maxlen=params.ts_tabu_length)
     table = _zobrist_table(g.vertex_count, k)
     h = 0
     for v, c in enumerate(state.colors):
@@ -427,7 +405,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
         _, v, new, fp = chosen
         apply(v, new)
         h = fp
-        tabu.push(fp)
+        tabu.append(fp)
         if state.total < best_conf:
             best_conf = state.total
             best = list(state.colors)

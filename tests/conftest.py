@@ -1,11 +1,15 @@
 import math
 import os
+import random
+from collections import deque
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from chroma import build_graph, conflict_count, conflicted_vertices
+from chroma import Graph, build_graph
+from chroma.graph import _check_length
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -30,6 +34,68 @@ def dsjc_path(name: str) -> Path:
             f"(benchmark data is user-provided; see {DIMACS_DIR / 'README.md'})"
         )
     return path
+
+
+# Reference oracles used only by the tests, so kept out of the package.
+def conflict_count(g: Graph, colors: Sequence[int]) -> int:
+    """Number of monochromatic edges; 0 iff the coloring is proper."""
+    _check_length(g, colors)
+    total = 0
+    for u in range(g.vertex_count):
+        cu = colors[u]
+        for v in g.adjacency[u]:
+            if v > u and colors[v] == cu:
+                total += 1
+    return total
+
+
+def conflicted_vertices(g: Graph, colors: Sequence[int]) -> set[int]:
+    """Vertices incident to at least one monochromatic edge."""
+    _check_length(g, colors)
+    out: set[int] = set()
+    for u in range(g.vertex_count):
+        cu = colors[u]
+        for v in g.adjacency[u]:
+            if v > u and colors[v] == cu:
+                out.add(u)
+                out.add(v)
+    return out
+
+
+def max_degree(g: Graph) -> int:
+    return max((len(neighbors) for neighbors in g.adjacency), default=0)
+
+
+def random_bipartite_graph(left: int, right: int, p: float, seed: int) -> Graph:
+    """Random bipartite graph on sides {0..left-1} and {left..left+right-1}.
+
+    Always contains at least one edge (a fallback edge joins the first vertex
+    of each side if the random draw produces none), so a 2-coloring is the
+    optimum whenever both sides are nonempty.
+    """
+    if left < 1 or right < 1:
+        raise ValueError("both sides must be nonempty")
+    rng = random.Random(seed)
+    edges = [
+        (u, left + v)
+        for u in range(left)
+        for v in range(right)
+        if rng.random() < p
+    ]
+    if not edges:
+        edges.append((0, left))
+    return build_graph(left + right, edges)
+
+
+def recording_deque(on_append):
+    """A deque subclass whose append calls on_append(the deque, item) once the
+    item is in. Patched over chroma.search.deque, it watches tabu_search's
+    tabu list."""
+    class RecordingDeque(deque):
+        def append(self, item):
+            super().append(item)
+            on_append(self, item)
+    return RecordingDeque
 
 
 def brute_conflicts(edges, colors) -> int:

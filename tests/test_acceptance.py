@@ -10,18 +10,18 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
 from contextlib import contextmanager
 
 import pytest
 
-from chroma import (METHODS, FingerprintFifo, SolverParams,
-                    chromatic_number_exact, color_count, dsatur, is_proper,
-                    load_instance, max_degree, parse_dimacs,
-                    random_bipartite_graph, random_graph, solve_k_reduction)
+from chroma import (METHODS, SolverParams, VirtualClock, chromatic_number_exact,
+                    color_count, dsatur, is_proper, load_instance, parse_dimacs,
+                    random_graph, solve_k_reduction, tabu_search)
+from chroma import search
 from chroma.bench import diff_percent
 
-from conftest import DATA_DIR, DIMACS_DIR, DSJC_TABLE, dsjc_path
+from conftest import (DATA_DIR, DIMACS_DIR, DSJC_TABLE, dsjc_path, max_degree,
+                      random_bipartite_graph, recording_deque)
 
 
 @contextmanager
@@ -155,23 +155,32 @@ def test_criterion_6_cli_determinism_under_virtual_clock():
 
 
 def test_criterion_7_fifo_memory_invariants():
-    """TabuList/HomeBaseQueue structure: capacity never exceeded and
-    eviction strictly oldest-first across 10^5 randomized pushes."""
+    """Tabu search's own tabu list: capacity never exceeded and eviction
+    strictly oldest-first across 10^5 pushes. Runs of TS at k = 2 on G(n, 0.5),
+    which never reach a proper coloring, record every fingerprint TS pushes;
+    after each push the list must hold exactly the last ts_tabu_length pushes,
+    oldest first, checked against the length the run was given."""
     with criterion(7, "FIFO memory invariants"):
         rng = random.Random(99)
         pushes_done = 0
         while pushes_done < 100_000:
-            capacity = rng.choice((1, 2, 7, 20, 70))
-            fifo = FingerprintFifo(capacity)
-            model = deque(maxlen=capacity)
-            for _ in range(500):
-                fp = rng.getrandbits(64)
-                fifo.push(fp)
-                model.append(fp)
-                pushes_done += 1
-                assert len(fifo) <= capacity
-                assert fifo.entries == tuple(model)
-        assert pushes_done >= 100_000
+            tabu_length = rng.choice((1, 2, 7, 20, 70))
+            pushed = []
+
+            def check(tabu, fingerprint):
+                pushed.append(fingerprint)
+                assert len(tabu) <= tabu_length
+                assert tuple(tabu) == tuple(pushed[-tabu_length:])
+
+            g = random_graph(20, 0.5, seed=rng.getrandbits(32))
+            params = SolverParams(method="TS", ts_iterations=2000,
+                                  ts_tabu_length=tabu_length, ts_num_tweaks=3)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(search, "deque", recording_deque(check))
+                tabu_search(g, 2, [0] * g.vertex_count, params,
+                            rng.getrandbits(32), clock=VirtualClock())
+            assert pushed, "tabu search pushed no fingerprint"
+            pushes_done += len(pushed)
 
 
 def test_criterion_8_dimacs_parse_goldens():

@@ -228,6 +228,15 @@ class TestBenchAndReport:
         assert code == 2
         assert f"error: {manifest}: not UTF-8 text" in err
 
+    def test_non_utf8_results_csv_exits_2_naming_it(self, capsys, tmp_path):
+        results = tmp_path / "bad.csv"
+        results.write_bytes(b"instance,method,seed,k_colors,proper,wall_seconds,"
+                            b"best_known,diff_percent\ntri\xff,HC,1,3,true,0.001,,\n")
+        code, out, err = run_cli(capsys, "report", "--in", str(results))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {results}: not UTF-8 text")
+
     def test_empty_references_exits_2_naming_its_line(self, capsys, tmp_path):
         manifest = tmp_path / "bad.manifest"
         manifest.write_text("instances = a.col\nmethods = hc\nreferences =\n")
@@ -274,6 +283,11 @@ class TestBenchAndReport:
         ("a,HC", ":3: expected 8 fields"),
         ("tri,HC,x,3,true,0.001,,", ":3: invalid literal for int() with base 10: 'x'"),
         ("tri,HC,1,3,TRUE,0.001,,", ":3: proper must be true or false, got 'TRUE'"),
+        ("x,hc,1,4,true,1,,", ":3: method must be one of ('HC', 'SA', 'TS', 'ILS'), "
+                              "got 'hc'"),
+        ("tri,HC,1,-4,true,0.001,,", ":3: k_colors must be at least 1, got -4"),
+        ("tri,HC,1,0,true,0.001,,", ":3: k_colors must be at least 1, got 0"),
+        ("tri,HC,1,3,true,0.001,0,", ":3: best_known must be at least 1, got 0"),
     ])
     def test_report_malformed_row_exits_2_naming_its_line(self, capsys, tmp_path,
                                                           row, message):

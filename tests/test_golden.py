@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from chroma import SolverParams, random_graph, solve_k_reduction, tabu_search
 from chroma import search
 
-from conftest import graphs
+from conftest import graphs, recording_deque
 
 OVERRIDES = {"HC": {}, "SA": {}, "TS": {"ts_iterations": 2000}, "ILS": {}}
 
@@ -213,12 +213,6 @@ def test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to(g, k, seed):
     """Every fingerprint tabu_search pushes equals a from-scratch Zobrist hash
     of the coloring it has just moved to."""
     pushed, visited = [], []
-
-    class SpyFifo(search.FingerprintFifo):
-        def push(self, fingerprint):
-            pushed.append(fingerprint)
-            super().push(fingerprint)
-
     real_apply = search._ConflictState.apply
 
     def spy_apply(state, v, new_color):
@@ -228,7 +222,7 @@ def test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to(g, k, seed):
     init = [0] * g.vertex_count
     params = SolverParams(method="TS", ts_iterations=30, ts_tabu_length=5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "FingerprintFifo", SpyFifo)
+        mp.setattr(search, "deque", recording_deque(lambda tabu, fp: pushed.append(fp)))
         mp.setattr(search._ConflictState, "apply", spy_apply)
         tabu_search(g, k, init, params, seed)
     table = search._zobrist_table(g.vertex_count, k)

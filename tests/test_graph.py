@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma import (GraphError, build_graph, color_count, conflict_count,
-                    conflicted_vertices, is_proper, max_degree, random_graph)
+from chroma import GraphError, build_graph, color_count, is_proper, random_graph
 
-from conftest import (brute_conflicted, brute_conflicts, colored_graphs, edge_lists,
-                      graphs)
+from conftest import (brute_conflicted, brute_conflicts, colored_graphs,
+                      conflict_count, conflicted_vertices, edge_lists, graphs,
+                      max_degree)
 
 
 class TestBuildGraph:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import chroma.heuristics as heuristics_module
 from chroma import (build_graph, chromatic_lower_bound, chromatic_number_exact,
-                    color_count, dsatur, is_proper, load_instance, max_degree,
-                    random_bipartite_graph, random_coloring, random_graph)
+                    color_count, dsatur, is_proper, load_instance,
+                    random_coloring, random_graph)
 from chroma.heuristics import _clique_number
 
-from conftest import dsjc_path, graphs, hub_graphs
+from conftest import (dsjc_path, graphs, hub_graphs, max_degree,
+                      random_bipartite_graph)
 
 
 class TestRandomColoring:

@@ -2,6 +2,7 @@
 virtual clock, so a change to the API they call cannot break them unseen."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +52,15 @@ def test_dimacs_bench_writes_a_row_per_cell(tmp_path):
     assert [(r["instance"], r["method"], r["seed"], r["proper"]) for r in rows] == [
         ("DSJC125.1", "HC", "1", "true")]
     assert (tmp_path / "r.manifest").exists()
+
+
+def test_every_mutant_names_text_found_once_and_existing_test_files():
+    # the mutants themselves run in a CI job of their own; this keeps their
+    # replacement texts from drifting away from the source unseen
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for mutant in mutants.MUTANTS:
+        source = (REPO_ROOT / mutant.path).read_text(encoding="utf-8")
+        assert source.count(mutant.old) == 1, mutant.name
+        assert all((REPO_ROOT / test.split("::")[0]).exists() for test in mutant.tests)
