@@ -36,6 +36,8 @@ DIMACS = "src/chroma/dimacs.py"
 CLIMB_KERNEL = "tests/test_search.py::TestMoveKernel::test_hill_climbing"
 TS_KERNEL = "tests/test_search.py::TestMoveKernel::test_tabu_search"
 GOLDEN = "tests/test_golden.py::test_golden_trajectory"
+REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
+               "test_report_malformed_row_exits_2_naming_its_line")
 
 
 class Mutant(NamedTuple):
@@ -101,7 +103,26 @@ MUTANTS = [
             "tests/test_cli.py::TestSolve::test_a_reference_listed_twice_exits_2_naming_its_line")),
     Mutant("read_results_csv: method check removed", BENCH,
            "            if rec[\"method\"] not in METHODS:\n", "            if False:\n",
-           ("tests/test_cli.py::TestBenchAndReport::test_report_malformed_row_exits_2_naming_its_line",)),
+           (REPORT_ROWS,)),
+    Mutant("read_results_csv: diff_percent check removed", BENCH,
+           "            if got != want:\n", "            if False:\n", (REPORT_ROWS,)),
+    Mutant("read_results_csv: proper=false accepted", BENCH,
+           "            if rec[\"proper\"] == \"false\":\n", "            if False:\n",
+           (REPORT_ROWS, "tests/test_dimacs.py::TestReadResults::test_proper_reads_true_and_false")),
+    Mutant("run_benchmark: a pool of jobs workers, however few the cells", BENCH,
+           "max_workers=min(jobs, len(cells))", "max_workers=jobs",
+           ("tests/test_bench.py::TestRunBenchmark::test_pool_starts_no_more_workers_than_cells",)),
+    Mutant("ILS: the total stop ignores the deadline", SEARCH,
+           "stop_at = min(t0 + params.ils_total_seconds, deadline)",
+           "stop_at = t0 + params.ils_total_seconds",
+           ("tests/test_search.py::TestIteratedLocalSearch::test_wall_deadline_cuts_the_run",)),
+    Mutant("ILS: the inner stop ignores the deadline", SEARCH,
+           "inner_stop = min(now + params.ils_inner_seconds, deadline)",
+           "inner_stop = now + params.ils_inner_seconds",
+           ("tests/test_search.py::TestIteratedLocalSearch::test_deadline_cuts_the_climb_in_flight",)),
+    Mutant("tabu_search: the initial evaluation left out of the count", SEARCH,
+           "SearchOutcome(best, best_conf, 1 + i * num_tweaks,",
+           "SearchOutcome(best, best_conf, i * num_tweaks,", (GOLDEN,)),
 ]
 
 

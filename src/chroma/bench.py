@@ -77,7 +77,9 @@ def write_results(rows: list[RunResult], stream: IO[str], fmt: str = "csv") -> N
 
 
 def read_results_csv(stream: IO[str]) -> list[RunResult]:
-    """Parse a results CSV; a malformed one raises ValueError naming its line."""
+    """Parse a results CSV; a malformed one raises ValueError naming its line.
+    Rows must be proper, with the diff_percent their k_colors and best_known
+    give."""
     name = getattr(stream, "name", "results CSV")
     reader = csv.DictReader(stream)
     rows = []
@@ -90,6 +92,8 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 raise ValueError(f"expected {len(reader.fieldnames)} fields")
             if rec["proper"] not in ("true", "false"):
                 raise ValueError(f"proper must be true or false, got {rec['proper']!r}")
+            if rec["proper"] == "false":
+                raise ValueError("proper is false: only proper colorings are ranked")
             if rec["method"] not in METHODS:
                 raise ValueError(f"method must be one of {METHODS}, got {rec['method']!r}")
             row = RunResult(
@@ -97,7 +101,7 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 method=rec["method"],
                 seed=int(rec["seed"]),
                 k_colors=int(rec["k_colors"]),
-                proper=rec["proper"] == "true",
+                proper=True,
                 wall_seconds=float(rec["wall_seconds"]),
                 best_known=int(rec["best_known"]) if rec["best_known"] else None,
                 diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
@@ -106,6 +110,15 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 count = getattr(row, key)
                 if count is not None and count < 1:
                     raise ValueError(f"{key} must be at least 1, got {count}")
+            if not (math.isfinite(row.wall_seconds) and row.wall_seconds >= 0):
+                raise ValueError(f"wall_seconds must be finite and >= 0, "
+                                 f"got {rec['wall_seconds']!r}")
+            best = row.best_known
+            want = "" if best is None else f"{diff_percent(row.k_colors, best):.2f}"
+            got = "" if row.diff_percent is None else f"{row.diff_percent:.2f}"
+            if got != want:
+                raise ValueError(f"diff_percent must be {want!r} for k_colors {row.k_colors} "
+                                 f"and best_known {rec['best_known']!r}, got {rec['diff_percent']!r}")
             rows.append(row)
     except (csv.Error, ValueError) as exc:
         raise ValueError(f"{name}:{reader.line_num}: {exc}") from None
@@ -276,7 +289,7 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
              for method in manifest.methods
              for seed in manifest.seeds]
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             rows = list(pool.map(run_cell, *zip(*cells)))
     else:
         rows = [run_cell(*cell) for cell in cells]

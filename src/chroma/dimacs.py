@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .graph import Graph, build_graph
 
@@ -31,13 +31,11 @@ BEST_KNOWN_COLORS: dict[str, int] = {
 
 
 class DimacsError(ValueError):
-    """Malformed DIMACS input. Carries the offending line number when known."""
+    """Malformed DIMACS input; the message starts with the offending line
+    number when known."""
 
     def __init__(self, message: str, line_no: Optional[int] = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 @dataclass
@@ -57,14 +55,13 @@ class InstanceRecord:
     best_known_colors: Optional[int] = None
 
 
-def parse_dimacs(text: str | IO[str]) -> ParsedDimacs:
-    """Parse a DIMACS .col stream into (vertex count, edge pairs, warnings)."""
-    lines = text.splitlines() if isinstance(text, str) else text
+def parse_dimacs(text: str) -> ParsedDimacs:
+    """Parse DIMACS .col text into (vertex count, edge pairs, warnings)."""
     vertex_count = -1
     declared = 0
     edges: list[tuple[int, int]] = []
     warnings: list[str] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue

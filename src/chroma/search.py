@@ -221,8 +221,8 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
 
 
 def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
-           t_origin: float, iterations: Optional[int] = None,
-           stop_at: Optional[float] = None, strict: bool = False,
+           t_origin: float, iterations: float = math.inf,
+           stop_at: float = math.inf, strict: bool = False,
            schedule: Optional[Callable[[int], float]] = None,
            on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
     """The tweak/accept loop of hill climbing, simulated annealing and the
@@ -256,10 +256,8 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     best = list(colors)
     best_conf = state.total
     i = 0
-    while best_conf > 0:
-        if iterations is not None and i >= iterations:
-            break
-        if stop_at is not None and now() >= stop_at:
+    while best_conf > 0 and i < iterations:
+        if now() >= stop_at:
             break
         i += 1
         m = len(conflicted)
@@ -292,7 +290,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
 
 def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                   seed: int, *, clock: Optional[Clock] = None,
-                  deadline: Optional[float] = None,
+                  deadline: float = math.inf,
                   on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
     """Fixed-iteration descent accepting any non-worsening tweak."""
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
@@ -306,24 +304,21 @@ def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
 
 def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                         seed: int, *, clock: Optional[Clock] = None,
-                        deadline: Optional[float] = None,
-                        on_accept: Optional[AcceptHook] = None,
-                        schedule: Optional[Callable[[int], float]] = None) -> SearchOutcome:
+                        deadline: float = math.inf,
+                        on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
     """Metropolis acceptance (see _climb) under a linearly decreasing
     temperature.
 
     The initial temperature is sa_iterations * sa_decrement, so the linear
     schedule hits exactly zero on the final iteration. The geometric
-    alternative cools by a factor (1 - sa_decrement) per step. `schedule`
-    overrides the temperature curve (used by tests).
+    alternative cools by a factor (1 - sa_decrement) per step.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     t_initial = params.sa_iterations * params.sa_decrement
-    if schedule is None:
-        if params.sa_geometric:
-            schedule = lambda i: t_initial * (1.0 - params.sa_decrement) ** i
-        else:
-            schedule = lambda i: t_initial - i * params.sa_decrement
+    if params.sa_geometric:
+        schedule = lambda i: t_initial * (1.0 - params.sa_decrement) ** i
+    else:
+        schedule = lambda i: t_initial - i * params.sa_decrement
     best, best_conf, evals = _climb(
         k, state, rng=rng, clock=clock, t_origin=t0,
         iterations=params.sa_iterations, stop_at=deadline,
@@ -334,7 +329,7 @@ def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverPar
 
 def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                 seed: int, *, clock: Optional[Clock] = None,
-                deadline: Optional[float] = None,
+                deadline: float = math.inf,
                 on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
     """Best-of-sample moves barred from revisiting recently seen colorings.
 
@@ -352,7 +347,6 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     and for the same reason each vertex is drawn from `conflicted`.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
-    evals = 1
     best = list(state.colors)
     best_conf = state.total
     tabu = deque(maxlen=params.ts_tabu_length)
@@ -371,13 +365,12 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     others = k - 1
     others_bits = others.bit_length()
     num_tweaks = params.ts_num_tweaks
-    for i in range(1, params.ts_iterations + 1):
-        if best_conf == 0:
+    i = 0
+    while best_conf > 0 and i < params.ts_iterations:
+        if clock.now() >= deadline:
             break
-        if deadline is not None and clock.now() >= deadline:
-            break
-        total = state.total
-        chosen: Optional[tuple[int, int, int, int]] = None  # (conflicts, v, color, fp)
+        i += 1
+        chosen: Optional[tuple[int, int, int, int]] = None  # (cost d, v, color, fp)
         for _ in range(num_tweaks):
             m = len(conflicted)
             b = m.bit_length()
@@ -396,10 +389,8 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             fp = h ^ row[old] ^ row[new]
             if fp in tabu:
                 continue
-            cand_conf = total + d
-            if chosen is None or cand_conf < chosen[0]:
-                chosen = (cand_conf, v, new, fp)
-        evals += num_tweaks
+            if chosen is None or d < chosen[0]:
+                chosen = (d, v, new, fp)
         if chosen is None:
             continue
         _, v, new, fp = chosen
@@ -411,7 +402,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             best = list(state.colors)
         if on_accept is not None:
             on_accept(i, state.total, clock.now() - t0)
-    return SearchOutcome(best, best_conf, evals, clock.now() - t0)
+    return SearchOutcome(best, best_conf, 1 + i * num_tweaks, clock.now() - t0)
 
 
 def _perturb(colors: Sequence[int], k: int, rng: random.Random, fraction: float) -> Coloring:
@@ -428,12 +419,13 @@ def _perturb(colors: Sequence[int], k: int, rng: random.Random, fraction: float)
 
 def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                           seed: int, *, clock: Optional[Clock] = None,
-                          deadline: Optional[float] = None,
+                          deadline: float = math.inf,
                           on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
     """Time-budgeted climbs restarted from perturbed home bases.
 
     Runs ils_inner_seconds climbs until ils_total_seconds elapse; a climb
-    already in flight at the total deadline is allowed to finish. The home
+    already in flight then is allowed to finish, but none runs past
+    `deadline`. The home
     base is the best coloring so far: a result with strictly fewer conflicts
     replaces it, and the next climb starts from it with a perturbation kick
     applied. Home-base conflicts only fall, so no home base recurs and no
@@ -443,17 +435,10 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     evals = 1
     best = list(state.colors)
     best_conf = state.total
-    stop_at = t0 + params.ils_total_seconds
+    stop_at = min(t0 + params.ils_total_seconds, deadline)
     current = best  # the first climb starts from the unperturbed init
-    while best_conf > 0:
-        now = clock.now()
-        if now >= stop_at:
-            break
-        if deadline is not None and now >= deadline:
-            break
-        inner_stop = now + params.ils_inner_seconds
-        if deadline is not None:
-            inner_stop = min(inner_stop, deadline)
+    while best_conf > 0 and (now := clock.now()) < stop_at:
+        inner_stop = min(now + params.ils_inner_seconds, deadline)
         inner_state = _ConflictState(g, k, current)
         clock.tick()
         evals += 1

@@ -184,16 +184,14 @@ def reference_climb(g):
     contract read literally: each move drawn by reference_draw_move and
     costed by recounting the moved coloring. Only the state's colors are
     read, and the state is left as it was."""
-    def climb(k, state, *, rng, clock, t_origin, iterations=None, stop_at=None,
+    def climb(k, state, *, rng, clock, t_origin, iterations=math.inf, stop_at=math.inf,
               strict=False, schedule=None, on_accept=None):
         colors = list(state.colors)
         conf = conflict_count(g, colors)
         best, best_conf = list(colors), conf
         i = 0
-        while best_conf > 0:
-            if iterations is not None and i >= iterations:
-                break
-            if stop_at is not None and clock.now() >= stop_at:
+        while best_conf > 0 and i < iterations:
+            if clock.now() >= stop_at:
                 break
             i += 1
             moved, moved_conf = reference_recolor(g, k, colors, rng)

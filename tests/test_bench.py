@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chroma import render_dimacs
+from chroma import bench, render_dimacs
 from chroma.bench import (PARAM_OVERRIDES, BenchManifest, InternalInvariantError,
                           RunResult, compare_report, diff_percent, parse_manifest,
                           run_benchmark, run_cell)
@@ -270,6 +270,31 @@ class TestRunBenchmark:
         parallel, _ = run_benchmark(small_manifest, jobs=2)
         assert [(r.instance, r.method, r.seed, r.k_colors) for r in serial] == \
                [(r.instance, r.method, r.seed, r.k_colors) for r in parallel]
+
+    @pytest.mark.parametrize("jobs,workers", [(3, 3), (64, 8)])
+    def test_pool_starts_no_more_workers_than_cells(self, small_manifest, monkeypatch,
+                                                    jobs, workers):
+        # A fork-based pool starts every worker at the first submit, so the
+        # pool size, not the cell count, is the number of processes forked.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        rows, _ = run_benchmark(small_manifest, jobs=jobs)
+        assert len(rows) == 8
+        assert started == [workers]
 
 
 class TestCompareReport:

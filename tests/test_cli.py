@@ -288,6 +288,20 @@ class TestBenchAndReport:
         ("tri,HC,1,-4,true,0.001,,", ":3: k_colors must be at least 1, got -4"),
         ("tri,HC,1,0,true,0.001,,", ":3: k_colors must be at least 1, got 0"),
         ("tri,HC,1,3,true,0.001,0,", ":3: best_known must be at least 1, got 0"),
+        ("tri,SA,1,2,false,-2,4,", ":3: proper is false: only proper colorings are ranked"),
+        ("tri,HC,1,3,true,0.001,4,99.5", ":3: diff_percent must be '-25.00' for k_colors 3 "
+                                         "and best_known '4', got '99.5'"),
+        ("tri,HC,1,3,true,0.001,4,", ":3: diff_percent must be '-25.00' for k_colors 3 "
+                                     "and best_known '4', got ''"),
+        ("tri,HC,1,3,true,0.001,,0.00", ":3: diff_percent must be '' for k_colors 3 "
+                                        "and best_known '', got '0.00'"),
+        ("tri,HC,1,3,true,0.001,4,nan", ":3: diff_percent must be '-25.00' for k_colors 3 "
+                                        "and best_known '4', got 'nan'"),
+        ("tri,HC,-5,3,true,nan,4,-25.00", ":3: wall_seconds must be finite and >= 0, "
+                                          "got 'nan'"),
+        ("tri,HC,1,3,true,inf,,", ":3: wall_seconds must be finite and >= 0, got 'inf'"),
+        ("tri,HC,1,3,true,-0.001,,", ":3: wall_seconds must be finite and >= 0, "
+                                     "got '-0.001'"),
     ])
     def test_report_malformed_row_exits_2_naming_its_line(self, capsys, tmp_path,
                                                           row, message):

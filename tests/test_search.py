@@ -267,11 +267,13 @@ class TestMoveKernel:
                                   params(hc_iterations=300, hc_strict=strict))
 
     @settings(deadline=None)
-    @given(search_cases())
-    def test_simulated_annealing(self, case):
-        # hot enough to accept worsening moves, then at or below zero
-        self.assert_climb_matches(simulated_annealing, case, params(sa_iterations=300),
-                                  schedule=lambda i: 2.0 - i / 100)
+    @given(search_cases(), st.booleans())
+    def test_simulated_annealing(self, case, geometric):
+        # from 2.0, hot enough to accept worsening moves; the linear schedule
+        # then reaches zero on the last move
+        self.assert_climb_matches(simulated_annealing, case,
+                                  params(sa_iterations=300, sa_decrement=2 / 300,
+                                         sa_geometric=geometric))
 
     @settings(deadline=None)
     @given(search_cases())
@@ -417,41 +419,37 @@ class TestHillClimbing:
 class TestSimulatedAnnealing:
     def test_zero_temperature_trajectory_equals_plateau_hill_climbing(self):
         g = random_graph(15, 0.5, seed=8)
-        init = [0] * 15
-        sa_accepted, hc_accepted = [], []
-        sa = simulated_annealing(
-            g, 3, init, params(sa_iterations=5000), seed=21,
-            schedule=lambda i: 0.0,
-            on_accept=lambda i, conf, t: sa_accepted.append((i, conf)))
-        hc = hill_climbing(
-            g, 3, init, params(hc_iterations=5000), seed=21,
-            on_accept=lambda i, conf, t: hc_accepted.append((i, conf)))
-        assert sa_accepted == hc_accepted
-        assert sa.coloring == hc.coloring
-        assert sa.evaluations == hc.evaluations
+
+        def climb(**kwargs):
+            events = []
+            state = search_module._ConflictState(g, 3, [0] * 15)
+            result = search_module._climb(
+                3, state, rng=random.Random(21), clock=VirtualClock(), t_origin=0.0,
+                iterations=5000, on_accept=lambda *event: events.append(event), **kwargs)
+            return result, events
+
+        assert climb(schedule=lambda i: 0.0) == climb()
 
     def test_tiny_positive_temperature_never_accepts_worse(self):
         g = random_graph(15, 0.5, seed=8)
         accepted = []
-        simulated_annealing(g, 3, [0] * 15, params(), seed=3,
-                            schedule=lambda i: 1e-300,
+        simulated_annealing(g, 3, [0] * 15, params(sa_decrement=1e-300), seed=3,
                             on_accept=lambda i, conf, t: accepted.append(conf))
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
 
     def test_high_temperature_accepts_worsening_moves(self):
         g = random_graph(15, 0.5, seed=8)
         accepted = []
-        simulated_annealing(g, 3, [0] * 15, params(sa_iterations=300), seed=3,
-                            schedule=lambda i: 1e9,
-                            on_accept=lambda i, conf, t: accepted.append(conf))
+        simulated_annealing(g, 3, [0] * 15, params(sa_iterations=300, sa_decrement=1e7),
+                            seed=3, on_accept=lambda i, conf, t: accepted.append(conf))
         assert any(b > a for a, b in zip(accepted, accepted[1:])), \
             "near-infinite temperature should accept worsening moves"
 
     def test_best_ever_returned_not_final_state(self):
         g = random_graph(15, 0.5, seed=8)
         accepted = []
-        out = simulated_annealing(g, 3, [0] * 15, params(sa_iterations=300),
-                                  seed=3, schedule=lambda i: 1e9,
+        out = simulated_annealing(g, 3, [0] * 15,
+                                  params(sa_iterations=300, sa_decrement=1e7), seed=3,
                                   on_accept=lambda i, conf, t: accepted.append(conf))
         assert out.conflicts == conflict_count(g, out.coloring)
         assert out.conflicts <= min(accepted)
@@ -533,6 +531,15 @@ class TestIteratedLocalSearch:
         out = iterated_local_search(k3, 2, [0, 0, 0], p, seed=1,
                                     clock=clock, deadline=clock.now() + 0.2)
         assert out.elapsed_seconds < 1.0
+
+    def test_deadline_cuts_the_climb_in_flight(self, k3):
+        # the first climb's own window (0.5 s) outlasts the deadline, so the
+        # deadline, not the window, must end it
+        clock = VirtualClock()
+        p = params(ils_inner_seconds=0.5, ils_total_seconds=5.0)
+        out = iterated_local_search(k3, 2, [0, 0, 0], p, seed=1,
+                                    clock=clock, deadline=clock.now() + 0.2)
+        assert 0.2 <= out.elapsed_seconds < 0.21
 
     def test_deterministic_under_virtual_clock(self, k3):
         p = params(ils_inner_seconds=0.05, ils_total_seconds=0.2)
