@@ -123,6 +123,25 @@ MUTANTS = [
     Mutant("tabu_search: the initial evaluation left out of the count", SEARCH,
            "SearchOutcome(best, best_conf, 1 + i * num_tweaks,",
            "SearchOutcome(best, best_conf, i * num_tweaks,", (GOLDEN,)),
+    Mutant("tabu_search: one evaluation ticked per sample", SEARCH,
+           "now = clock.tick(num_tweaks)", "now = clock.tick()",
+           (TS_KERNEL, "tests/test_search.py::TestTabuSearch::"
+                       "test_virtual_deadline_stops_at_the_first_iteration_past_it")),
+    # only iteration-bounded tests: with the time frozen, a climb with no
+    # iteration bound (ILS's) never ends
+    Mutant("_climb: the time returned by tick dropped", SEARCH,
+           "        now = tick()\n", "        tick()\n",
+           (CLIMB_KERNEL, "tests/test_search.py::TestHillClimbing::"
+                          "test_virtual_deadline_stops_at_the_first_move_past_it")),
+    Mutant("parse_manifest: instances sharing a stem accepted", BENCH,
+           "if stem in instances:", "if False:",
+           ("tests/test_bench.py::TestManifest::test_rejects_malformed",
+            "tests/test_cli.py::TestBenchAndReport::"
+            "test_instances_sharing_a_stem_exit_2_naming_both")),
+    Mutant("read_utf8: a byte order mark kept", DIMACS,
+           'encoding="utf-8-sig"', 'encoding="utf-8"',
+           ("tests/test_dimacs.py::TestLoadInstance::test_utf8_byte_order_mark_is_skipped",
+            "tests/test_bench.py::TestManifest::test_utf8_byte_order_mark_is_skipped")),
 ]
 
 

@@ -178,12 +178,13 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     """Parse a flat key=value manifest; '#' starts a comment, lists use commas.
 
     Recognized keys: instances, methods, seeds, budget, references, and any
-    solver parameter name (hc_iterations, sa_decrement, ...). The solver
-    parameters are checked together as SolverParams; an error names the line
-    of the last override it mentions.
+    solver parameter name (hc_iterations, sa_decrement, ...). Results name
+    an instance by its file stem, so no two instances may share one. The
+    solver parameters are checked together as SolverParams; an error names
+    the line of the last override it mentions.
     """
     path = Path(path)
-    instances: list[str] = []
+    instances: dict[str, str] = {}  # file stem -> instance path
     methods: list[str] = []
     seeds: list[int] = []
     budget = SolverParams().wall_budget_seconds
@@ -201,7 +202,12 @@ def parse_manifest(path: str | Path) -> BenchManifest:
         value = value.strip()
         where = f"{path}:{line_no}"
         if key == "instances":
-            instances.extend(v.strip() for v in value.split(",") if v.strip())
+            for inst in (v.strip() for v in value.split(",") if v.strip()):
+                stem = Path(inst).stem
+                if stem in instances:
+                    raise ValueError(f"{where}: instances {instances[stem]} and {inst} "
+                                     f"share the name {stem!r}")
+                instances[stem] = inst
         elif key == "methods":
             for m in (v.strip().upper() for v in value.split(",") if v.strip()):
                 if m not in METHODS:
@@ -236,7 +242,7 @@ def parse_manifest(path: str | Path) -> BenchManifest:
         raise ValueError(f"{path}: manifest names no methods")
     if not seeds:
         seeds = [1, 2, 3]
-    return BenchManifest(instances, methods, seeds, params, references)
+    return BenchManifest(list(instances.values()), methods, seeds, params, references)
 
 
 def run_cell(record: InstanceRecord, method: str, seed: int,

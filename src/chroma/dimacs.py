@@ -121,10 +121,10 @@ def render_dimacs(vertex_count: int, edges: Iterable[tuple[int, int]],
 
 
 def read_utf8(path: Path) -> str:
-    """A text file's contents; a file that is not UTF-8 raises ValueError
-    naming it."""
+    """A text file's contents, without a leading byte order mark; a file
+    that is not UTF-8 raises ValueError naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 

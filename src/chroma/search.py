@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
 import typing
 from bisect import bisect_left, insort
 from collections import deque
@@ -221,7 +222,7 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
 
 
 def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
-           t_origin: float, iterations: float = math.inf,
+           t_origin: float, iterations: int = sys.maxsize,
            stop_at: float = math.inf, strict: bool = False,
            schedule: Optional[Callable[[int], float]] = None,
            on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
@@ -234,7 +235,9 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     t <= 0. rng.random() is drawn only in that last, probabilistic case, so
     at zero temperature the move stream is that of plateau hill climbing.
     Stops at a zero-conflict state, after `iterations` moves or at `stop_at`;
-    returns (best coloring, its conflicts, evaluations performed).
+    returns (best coloring, its conflicts, evaluations performed). Each move
+    makes one clock call: `tick` counts its evaluation and returns the time
+    that the next stop test and `on_accept` read.
 
     The move is drawn and costed inline, with `randrange`'s rejection draw
     (see the module docstring): a call per draw would cost more than the AND
@@ -250,14 +253,14 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     conflicted = state.conflicted
     apply = state.apply
     tick = clock.tick
-    now = clock.now
     others = k - 1
     others_bits = others.bit_length()
     best = list(colors)
     best_conf = state.total
+    now = clock.now()
     i = 0
     while best_conf > 0 and i < iterations:
-        if now() >= stop_at:
+        if now >= stop_at:
             break
         i += 1
         m = len(conflicted)
@@ -272,7 +275,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
             r = getrandbits(others_bits)
         new = r if r < old else r + 1
         d = (masks[v] & classes[new]).bit_count() - own[v]
-        tick()
+        now = tick()
         if d > 0:
             t = schedule(i) if schedule is not None else 0.0
             accept = t > 0.0 and rng.random() < math.exp(-d / t)
@@ -284,7 +287,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
                 best_conf = state.total
                 best = list(colors)
             if on_accept is not None:
-                on_accept(i, state.total, now() - t_origin)
+                on_accept(i, state.total, now - t_origin)
     return best, best_conf, i
 
 
@@ -344,7 +347,9 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     candidate's is derived from it in O(1) without touching the coloring.
 
     Candidates are drawn and costed inline with the same lines as in _climb,
-    and for the same reason each vertex is drawn from `conflicted`.
+    and for the same reason each vertex is drawn from `conflicted`. They read
+    no time: one `tick(ts_num_tweaks)` per iteration counts the sample and
+    returns the time that the next stop test and `on_accept` read.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best = list(state.colors)
@@ -361,13 +366,13 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     colors = state.colors
     conflicted = state.conflicted
     apply = state.apply
-    tick = clock.tick
     others = k - 1
     others_bits = others.bit_length()
     num_tweaks = params.ts_num_tweaks
+    now = clock.now()
     i = 0
     while best_conf > 0 and i < params.ts_iterations:
-        if clock.now() >= deadline:
+        if now >= deadline:
             break
         i += 1
         chosen: Optional[tuple[int, int, int, int]] = None  # (cost d, v, color, fp)
@@ -384,13 +389,13 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                 r = getrandbits(others_bits)
             new = r if r < old else r + 1
             d = (masks[v] & classes[new]).bit_count() - own[v]
-            tick()
             row = table[v]
             fp = h ^ row[old] ^ row[new]
             if fp in tabu:
                 continue
             if chosen is None or d < chosen[0]:
                 chosen = (d, v, new, fp)
+        now = clock.tick(num_tweaks)
         if chosen is None:
             continue
         _, v, new, fp = chosen
@@ -401,7 +406,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
             best_conf = state.total
             best = list(state.colors)
         if on_accept is not None:
-            on_accept(i, state.total, clock.now() - t0)
+            on_accept(i, state.total, now - t0)
     return SearchOutcome(best, best_conf, 1 + i * num_tweaks, clock.now() - t0)
 
 
@@ -450,8 +455,6 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         if inner_conf < best_conf:
             best_conf = inner_conf
             best = inner_best
-        if best_conf == 0:
-            break
         current = _perturb(best, k, rng, params.ils_perturbation)
     return SearchOutcome(best, best_conf, evals, clock.now() - t0)
 

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import sys
 from collections import deque
 from pathlib import Path
 from typing import Sequence
@@ -184,7 +185,7 @@ def reference_climb(g):
     contract read literally: each move drawn by reference_draw_move and
     costed by recounting the moved coloring. Only the state's colors are
     read, and the state is left as it was."""
-    def climb(k, state, *, rng, clock, t_origin, iterations=math.inf, stop_at=math.inf,
+    def climb(k, state, *, rng, clock, t_origin, iterations=sys.maxsize, stop_at=math.inf,
               strict=False, schedule=None, on_accept=None):
         colors = list(state.colors)
         conf = conflict_count(g, colors)

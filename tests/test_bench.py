@@ -65,6 +65,13 @@ class TestManifest:
         path.write_text("instances = a.col\nmethods = hc\n")
         assert parse_manifest(path).seeds == [1, 2, 3]
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.manifest"
+        path.write_bytes(b"\xef\xbb\xbfinstances = a.col\nmethods = hc\n")
+        m = parse_manifest(path)
+        assert m.instances == ["a.col"]
+        assert m.methods == ["HC"]
+
     @pytest.mark.parametrize("text,match", [
         ("instances = a.col\nmethods = hc\nwhatever = 3\n", "unknown manifest key"),
         ("instances = a.col\nmethods = ga\n", "unknown method"),
@@ -95,6 +102,8 @@ class TestManifest:
          r"bad\.manifest:3: budget must be a number, got 'soon'"),
         ("instances = a.col\nmethods = hc\nreferences =  # none\n",
          r"bad\.manifest:3: references needs a file name"),
+        ("instances = a/x.col, y.col\nmethods = hc\ninstances = b/x.col\n",
+         r"bad\.manifest:3: instances a/x\.col and b/x\.col share the name 'x'"),
         # values that parse but that SolverParams rejects
         ("instances = a.col\nmethods = hc\nhc_iterations = 0\n",
          r"bad\.manifest:3: hc_iterations must be an integer of at least 1, got 0"),

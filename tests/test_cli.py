@@ -220,6 +220,24 @@ class TestBenchAndReport:
         assert code == 2
         assert "no instances" in err
 
+    def test_instances_sharing_a_stem_exit_2_naming_both(self, capsys, tmp_path):
+        # rows are named by stem, so a triangle and an edgeless pair would
+        # merge into one "x" row that reads as 1-colorable
+        for folder, n, edges in (("a", 3, [(0, 1), (1, 2), (0, 2)]), ("b", 2, [])):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "x.col").write_text(render_dimacs(n, edges))
+        first, second = tmp_path / "a" / "x.col", tmp_path / "b" / "x.col"
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"methods = hc\ninstances = {first}, {second}\n")
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(out_csv))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {manifest}:2: instances {first} and {second} "
+                       "share the name 'x'\n")
+        assert not out_csv.exists()
+
     def test_non_utf8_manifest_exits_2_naming_it(self, capsys, tmp_path):
         manifest = tmp_path / "bin.manifest"
         manifest.write_bytes(b"instances = a.col\n\xff\n")

@@ -158,6 +158,11 @@ class TestLoadInstance:
         path.write_text("p edge 4 3\ne 1 2\ne 2 1\ne 1 2\n")
         assert load_instance(path).graph.edge_count == 1
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.col"
+        path.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())
+        assert load_instance(path).graph.edge_count == 3
+
 
 SAMPLE_ROWS = [
     RunResult("DSJC125.5", "HC", 3, 20, True, 4271.2154, 17, 17.65),

@@ -364,6 +364,15 @@ class TestHillClimbing:
         assert out.conflicts == 3
         assert out.evaluations == 1
 
+    def test_virtual_deadline_stops_at_the_first_move_past_it(self, k3):
+        # k = 2 on a triangle never solves; 1 ms per evaluation, so the run
+        # stops at the first evaluation count at or past 49.5
+        clock = VirtualClock()
+        out = hill_climbing(k3, 2, [0, 0, 0], params(hc_iterations=1000), seed=1,
+                            clock=clock, deadline=0.0495)
+        assert out.evaluations == clock.evaluations == 50
+        assert out.elapsed_seconds == 50 * 0.001
+
     def test_solves_triangle_from_monochromatic(self, k3):
         # the non-worsening move graph provably reaches a proper state
         assert _reachable_proper(k3, 3, [0, 0, 0], monotone=True)
@@ -491,6 +500,26 @@ class TestTabuSearch:
                           on_accept=lambda i, conf, t: accepted.append(i))
         assert len(accepted) < 50
         assert out.conflicts == 1  # best achievable with 2 colors
+
+    def test_virtual_deadline_stops_at_the_first_iteration_past_it(self, k3):
+        # each iteration counts its 10 candidates, all-tabu ones included:
+        # the run stops at the first count 1 + 10 * i at or past 499.5
+        clock = VirtualClock()
+        accepted = []
+        out = tabu_search(k3, 2, [0, 0, 0], params(ts_iterations=1000), seed=7,
+                          clock=clock, deadline=0.4995,
+                          on_accept=lambda i, conf, t: accepted.append(i))
+        assert out.evaluations == clock.evaluations == 501
+        assert out.elapsed_seconds == 501 * 0.001
+        assert len(accepted) < 50  # some of the 50 samples were all tabu
+
+    def test_wall_deadline_cuts_the_run(self, k3):
+        clock = WallClock()
+        p = params(ts_iterations=10**6)  # seconds of work on a triangle at k = 2
+        out = tabu_search(k3, 2, [0, 0, 0], p, seed=1,
+                          clock=clock, deadline=clock.now() + 0.1)
+        assert out.elapsed_seconds < 1.0
+        assert out.evaluations < 1 + 10 * 10**6
 
     def test_proper_init_returns_immediately(self, k3):
         out = tabu_search(k3, 3, [0, 1, 2], params(), seed=1)
