@@ -32,12 +32,15 @@ SEARCH = "src/chroma/search.py"
 HEURISTICS = "src/chroma/heuristics.py"
 BENCH = "src/chroma/bench.py"
 DIMACS = "src/chroma/dimacs.py"
+GRAPH = "src/chroma/graph.py"
 
 CLIMB_KERNEL = "tests/test_search.py::TestMoveKernel::test_hill_climbing"
 TS_KERNEL = "tests/test_search.py::TestMoveKernel::test_tabu_search"
 GOLDEN = "tests/test_golden.py::test_golden_trajectory"
 REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
                "test_report_malformed_row_exits_2_naming_its_line")
+STRICT_CASES = "tests/test_dimacs.py::TestStrictPath::test_agrees_on_the_edge_cases"
+STRICT_FUZZ = "tests/test_dimacs.py::TestStrictPath::test_agrees_with_the_line_parser"
 
 
 class Mutant(NamedTuple):
@@ -142,6 +145,24 @@ MUTANTS = [
            'encoding="utf-8-sig"', 'encoding="utf-8"',
            ("tests/test_dimacs.py::TestLoadInstance::test_utf8_byte_order_mark_is_skipped",
             "tests/test_bench.py::TestManifest::test_utf8_byte_order_mark_is_skipped")),
+    Mutant("parse_dimacs: \\r allowed in a strict comment line", DIMACS,
+           r"(?:c[^\n\r\x0b", r"(?:c[^\n\x0b", (STRICT_CASES,)),
+    Mutant("parse_dimacs: the strict path's range check removed", DIMACS,
+           "    if us and not (1 <= min(us) and max(us) <= vertex_count\n"
+           "                   and 1 <= min(vs) and max(vs) <= vertex_count):\n",
+           "    if False:\n", (STRICT_CASES, STRICT_FUZZ)),
+    Mutant("parse_dimacs: the strict path's self-loop check removed", DIMACS,
+           "if any(map(operator.eq, us, vs)):", "if False:", (STRICT_CASES, STRICT_FUZZ)),
+    Mutant("parse_dimacs: an e line may run on past its second endpoint", DIMACS,
+           'r"^(?!e [0-9]+ [0-9]+$)"', 'r"^(?!e [0-9]+ [0-9]+)"', (STRICT_CASES,)),
+    Mutant("parse_dimacs: the strict path never taken", DIMACS,
+           "parsed = _parse_strict(text)", "parsed = None",
+           ("tests/test_dimacs.py::TestStrictPath::"
+            "test_rendered_and_dsjc_shaped_files_take_it",)),
+    Mutant("build_graph: duplicate neighbors kept", GRAPH,
+           "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
+           ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",
+            "tests/test_graph.py::TestBuildGraph::test_reversed_duplicate_collapses")),
 ]
 
 

@@ -5,11 +5,19 @@ Grammar accepted: ``c`` comment lines anywhere, possibly indented; exactly one
 1-indexed endpoints separated by one or more spaces. Unknown line types are
 ignored with a warning; an ``e``-line count that disagrees with the header is
 a warning, not an error, because duplicate edges legitimately collapse.
+
+A file of exactly the shape `render_dimacs` writes (``c`` lines at column 0,
+one ``p`` line with single spaces, then only ``e U V`` lines of ASCII digits,
+each ended by a newline) is parsed in bulk; every other file, and every file
+with an endpoint out of range or a self-loop, goes line by line, so each
+message, line number and warning is the line parser's.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
@@ -55,8 +63,52 @@ class InstanceRecord:
     best_known_colors: Optional[int] = None
 
 
+# The strict shape up to the end of the p line. A comment holds no character
+# str.splitlines splits on, or `c x\rp edge ...` would hide a p line from
+# the match that the line parser sees.
+_STRICT_HEAD = re.compile(
+    r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
+    r"p (?:edge|col) ([0-9]+) ([0-9]+)\n")
+# Matches at the start of the first line that is not `e U V`. A search for
+# it keeps no state per line, where one match over the whole block would.
+_NOT_E_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+$)", re.M)
+
+
 def parse_dimacs(text: str) -> ParsedDimacs:
     """Parse DIMACS .col text into (vertex count, edge pairs, warnings)."""
+    parsed = _parse_strict(text)
+    return _parse_lines(text) if parsed is None else parsed
+
+
+def _parse_strict(text: str) -> Optional[ParsedDimacs]:
+    """The parse of a file of the strict shape with every edge valid, or
+    None, for the line parser to take the file."""
+    head = _STRICT_HEAD.match(text)
+    if head is None or not text.endswith("\n"):
+        return None
+    body = head.end()
+    # endpos excludes the final newline, after which ^ would match once more
+    if _NOT_E_LINE.search(text, body, len(text) - 1) is not None:
+        return None
+    tokens = text[body:].split()
+    try:
+        vertex_count, declared = int(head[1]), int(head[2])
+        us = list(map(int, tokens[1::3]))
+        vs = list(map(int, tokens[2::3]))
+    except ValueError:  # beyond int's digit limit
+        return None
+    del tokens  # the larger part of the peak memory, held no longer than needed
+    if us and not (1 <= min(us) and max(us) <= vertex_count
+                   and 1 <= min(vs) and max(vs) <= vertex_count):
+        return None  # an endpoint out of range
+    if any(map(operator.eq, us, vs)):
+        return None  # a self-loop
+    edges = [(u - 1, v - 1) for u, v in zip(us, vs)]
+    return _parsed(vertex_count, edges, declared, [])
+
+
+def _parse_lines(text: str) -> ParsedDimacs:
+    """Parse any text line by line; a DimacsError names the first bad line."""
     vertex_count = -1
     declared = 0
     edges: list[tuple[int, int]] = []
@@ -101,6 +153,11 @@ def parse_dimacs(text: str) -> ParsedDimacs:
             warnings.append(f"line {line_no}: ignored unknown line type {kind!r}")
     if vertex_count < 0:
         raise DimacsError("missing p line")
+    return _parsed(vertex_count, edges, declared, warnings)
+
+
+def _parsed(vertex_count: int, edges: list[tuple[int, int]], declared: int,
+            warnings: list[str]) -> ParsedDimacs:
     if len(edges) != declared:
         warnings.append(
             f"header declares {declared} edges but file has {len(edges)} e lines"

@@ -58,7 +58,7 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
-    edge_set: set[tuple[int, int]] = set()
+    lists: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(
@@ -66,13 +66,10 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
             )
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-        edge_set.add((u, v) if u < v else (v, u))
-    lists: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edge_set:
         lists[u].append(v)
         lists[v].append(u)
-    adjacency = tuple(tuple(sorted(neighbors)) for neighbors in lists)
-    return Graph(vertex_count, len(edge_set), adjacency)
+    adjacency = tuple(tuple(sorted(set(neighbors))) for neighbors in lists)
+    return Graph(vertex_count, sum(map(len, adjacency)) // 2, adjacency)
 
 
 def _check_length(g: Graph, colors: Sequence[int]) -> None:

@@ -2,10 +2,10 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma import (BEST_KNOWN_COLORS, DimacsError, load_instance,
+from chroma import (BEST_KNOWN_COLORS, DimacsError, dimacs, load_instance,
                     parse_dimacs, render_dimacs)
 from chroma.bench import CSV_FIELDS, RunResult, read_results_csv, write_results
 from chroma.dimacs import read_reference_table
@@ -117,6 +117,106 @@ class TestParse:
         parsed = parse_dimacs(render_dimacs(n, edges, comment="round trip"))
         assert parsed.vertex_count == n
         assert sorted(parsed.edges) == canonical
+        assert parsed.warnings == []
+
+
+# Every separator str.splitlines splits on, "\r\n" among them.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+# Lines that leave the strict shape, or pass it with an edge the line
+# parser refuses.
+OFF_SHAPE_LINES = [
+    "", "   ", "\t", "c mid-file comment", "  c indented", "n 1 4", "x",
+    "p edge 3 2", "p col 4 1", "p edge 3", "p edge x 2", "p  edge 3 2",
+    "e 1", "2 e 3 4", "e 1 2 3", "e 0 2", "e 1 9", "e 2 2", "e x 1",
+    "e 1 -1", "e 1 2.5", "e 01 2", "e  1 2", "e\t1 2", " e 1 2", "E 1 2",
+    "e 1 \uff12",  # a fullwidth 2, which int() reads
+]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return str(exc)
+
+
+def assert_paths_agree(text):
+    """parse_dimacs, whose strict path takes the text or hands it on, gives
+    what the line parser alone gives: the same ParsedDimacs or message."""
+    assert outcome(parse_dimacs, text) == outcome(dimacs._parse_lines, text)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A file of the strict shape, with up to two flaws: a line inserted,
+    an edge appended with any endpoints in [0, n + 1], a separator changed
+    or a trailing blank; and maybe no final newline."""
+    n = draw(st.integers(2, 5))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    lines = draw(st.lists(st.sampled_from(["c", "c a comment", "c p edge 9 9"]),
+                          max_size=2))
+    lines.append(f"p {draw(st.sampled_from(['edge', 'col']))} {n} "
+                 f"{draw(st.integers(0, 8))}")
+    lines += [f"e {u} {v}" for u, v in draw(st.lists(edge, max_size=8))]
+    seps = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        flaw = draw(st.sampled_from(["line", "edge", "separator", "trailing"]))
+        if flaw == "line":
+            lines.insert(i, draw(st.sampled_from(OFF_SHAPE_LINES)))
+            seps.insert(i, "\n")
+        elif flaw == "edge":
+            u = draw(st.integers(0, n + 1))
+            v = draw(st.one_of(st.just(u), st.integers(0, n + 1)))
+            lines.append(f"e {u} {v}")
+            seps.append("\n")
+        elif flaw == "separator":
+            seps[i] = draw(st.sampled_from(SEPARATORS + ["", " "]))
+        else:
+            lines[i] += draw(st.sampled_from([" ", "\t", "  "]))
+    if draw(st.integers(0, 3)) == 0:
+        seps[-1] = ""
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+class TestStrictPath:
+    @settings(max_examples=300)
+    @given(dimacs_texts())
+    def test_agrees_with_the_line_parser(self, text):
+        assert_paths_agree(text)
+
+    @pytest.mark.parametrize("text", [
+        # a separator inside a comment line would hide the second p line
+        *(f"c x{sep}p edge 3 1\np edge 3 1\ne 1 2\n" for sep in SEPARATORS),
+        "p edge 3 1\ne 1 4\n",
+        "p edge 3 1\ne 4 1\n",
+        "p edge 3 1\ne 0 2\n",
+        "p edge 3 2\ne 1 2\ne 2 2\n",
+        "p edge 3 1\ne 1 2 3\n",
+        "p edge 4 2\ne 1\n2 e 3 4\n",
+        "p edge 3 1\ne 1 2",
+        "p edge 3 1\ne 1 2\n\n",
+        "p edge 3 1\ne 1 " + "1" * 5000 + "\n",  # beyond int's digit limit
+        "p edge 3 0\n",
+        "p edge 3 0",
+    ])
+    def test_agrees_on_the_edge_cases(self, text):
+        assert_paths_agree(text)
+
+    def test_rendered_and_dsjc_shaped_files_take_it(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line parser was called")
+
+        monkeypatch.setattr(dimacs, "_parse_lines", refuse)
+        rendered = render_dimacs(5, [(0, 1), (3, 1), (4, 0)], comment="two\nlines")
+        assert parse_dimacs(rendered).edges == [(0, 1), (0, 4), (1, 3)]
+        # DSJC files list each edge in both directions, so the count matches
+        dsjc = ("c FILE: DSJC125.1.col\nc SOURCE: David Johnson\nc\n"
+                "p edge 125 4\ne 1 5\ne 5 1\ne 125 2\ne 2 125\n")
+        parsed = parse_dimacs(dsjc)
+        assert parsed.vertex_count == 125
+        assert parsed.edges == [(0, 4), (4, 0), (124, 1), (1, 124)]
         assert parsed.warnings == []
 
 

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,19 +21,34 @@ class TestBuildGraph:
     def test_duplicate_edges_collapse(self):
         g = build_graph(4, [(0, 1), (0, 1)])
         assert g.edge_count == 1
+        # the edges are read once, so a one-shot generator will do
+        assert build_graph(4, (edge for edge in [(0, 1), (0, 1)])) == g
 
-    def test_reversed_duplicate_collapses(self):
-        g = build_graph(4, [(0, 1), (1, 0)])
-        assert g.edge_count == 1
-        assert g.adjacency[0] == (1,)
+    @pytest.mark.parametrize("edges,edge_count,adjacency", [
+        ([(0, 1), (1, 0)], 1, ((1,), (0,), (), ())),
+        ([(1, 0), (0, 1), (1, 0), (3, 2), (2, 3), (0, 1), (2, 0)], 3,
+         ((1, 2), (0,), (0, 3), (2,))),
+    ])
+    def test_reversed_duplicate_collapses(self, edges, edge_count, adjacency):
+        g = build_graph(4, edges)
+        assert g.edge_count == edge_count
+        assert g.adjacency == adjacency
 
-    def test_out_of_range_names_pair(self):
-        with pytest.raises(GraphError, match=r"\(0, 7\)"):
-            build_graph(3, [(0, 7)])
+    @pytest.mark.parametrize("edges,pair", [
+        ([(0, 7)], "(0, 7)"),
+        ([(0, 1), (1, 0), (0, 1), (2, 5), (1, 1), (9, 0)], "(2, 5)"),
+    ])
+    def test_out_of_range_names_pair(self, edges, pair):
+        with pytest.raises(GraphError, match=re.escape(f"edge {pair} out of range")):
+            build_graph(3, edges)
 
-    def test_self_loop_rejected(self):
-        with pytest.raises(GraphError, match="self-loop"):
-            build_graph(3, [(1, 1)])
+    @pytest.mark.parametrize("edges,pair", [
+        ([(1, 1)], "(1, 1)"),
+        ([(0, 1), (1, 0), (0, 1), (2, 2), (1, 1), (0, 7)], "(2, 2)"),
+    ])
+    def test_self_loop_rejected(self, edges, pair):
+        with pytest.raises(GraphError, match=re.escape(f"self-loop {pair}")):
+            build_graph(3, edges)
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(GraphError):

@@ -1,13 +1,14 @@
 """Smoke runs of the scripts under scripts/, each in a child process under the
-virtual clock, so a change to the API they call cannot break them unseen."""
+virtual clock, so a change to the API they call cannot break them unseen; and
+a check of the committed DSJC manifest."""
 
-import csv
 import importlib.util
 import os
 import subprocess
 import sys
 
-from chroma import random_graph, render_dimacs
+from chroma import SolverParams
+from chroma.bench import parse_manifest
 
 from conftest import REPO_ROOT
 
@@ -32,26 +33,14 @@ def test_oracle_check_prints_a_line_per_method():
     assert all("/2 " in line for line in tallies)
 
 
-def test_dimacs_bench_without_instances_exits_2(tmp_path):
-    result = run_script("run_dimacs_bench.py", CHROMA_DIMACS_DIR=str(tmp_path))
-    assert result.returncode == 2
-    assert "no DSJC instances found" in result.stderr
-
-
-def test_dimacs_bench_writes_a_row_per_cell(tmp_path):
-    g = random_graph(30, 0.1, seed=1)
-    edges = [(u, v) for u in range(g.vertex_count) for v in g.adjacency[u] if u < v]
-    (tmp_path / "DSJC125.1.col").write_text(render_dimacs(g.vertex_count, edges))
-    out = tmp_path / "r.csv"
-    result = run_script("run_dimacs_bench.py", "--budget", "1", "--seeds", "1",
-                        "--methods", "hc", "--jobs", "1", "--out", str(out),
-                        CHROMA_DIMACS_DIR=str(tmp_path))
-    assert result.returncode == 0, result.stderr
-    with out.open() as stream:
-        rows = list(csv.DictReader(stream))
-    assert [(r["instance"], r["method"], r["seed"], r["proper"]) for r in rows] == [
-        ("DSJC125.1", "HC", "1", "true")]
-    assert (tmp_path / "r.manifest").exists()
+def test_dsjc_manifest_names_the_protocol_cells():
+    manifest = parse_manifest(REPO_ROOT / "data" / "dimacs" / "dsjc.manifest")
+    assert manifest.instances == [f"data/dimacs/DSJC{n}.{p}.col"
+                                  for n in (125, 250) for p in (1, 5, 9)]
+    assert manifest.methods == ["HC", "SA", "TS", "ILS"]
+    assert manifest.seeds == [1, 2, 3]
+    assert manifest.params == SolverParams(wall_budget_seconds=600.0)
+    assert manifest.references_path is None
 
 
 def test_every_mutant_names_text_found_once_and_existing_test_files():
