@@ -41,6 +41,10 @@ REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
                "test_report_malformed_row_exits_2_naming_its_line")
 STRICT_CASES = "tests/test_dimacs.py::TestStrictPath::test_agrees_on_the_edge_cases"
 STRICT_FUZZ = "tests/test_dimacs.py::TestStrictPath::test_agrees_with_the_line_parser"
+ASCII_NUMBERS = ("tests/test_dimacs.py::TestParse::test_numbers_are_ascii_digits",
+                 "tests/test_dimacs.py::TestReferenceTable::test_bad_count_names_its_line",
+                 "tests/test_cli.py::TestSolve::"
+                 "test_a_number_int_reads_but_dimacs_does_not_exits_2")
 
 
 class Mutant(NamedTuple):
@@ -159,6 +163,26 @@ MUTANTS = [
            "parsed = _parse_strict(text)", "parsed = None",
            ("tests/test_dimacs.py::TestStrictPath::"
             "test_rendered_and_dsjc_shaped_files_take_it",)),
+    Mutant("parse_dimacs: numbers read by int() alone", DIMACS,
+           "if _INTEGER.fullmatch(token) is None:", "if False:", ASCII_NUMBERS),
+    Mutant("parse_dimacs: any Unicode decimal digit read as a digit", DIMACS,
+           'r"-?[0-9]+"', 'r"-?\\d+"', ASCII_NUMBERS),
+    Mutant("solve_k_reduction: the cached start coloring handed out uncopied", SEARCH,
+           "best = list(start_coloring)", "best = start_coloring",
+           ("tests/test_search.py::TestStartCache::test_returned_coloring_is_a_copy",)),
+    Mutant("dsatur_start: one module-level slot for every graph's start", SEARCH,
+           "cache = g.__dict__", "cache = globals()",
+           ("tests/test_search.py::TestStartCache::"
+            "test_equal_distinct_graphs_each_compute_their_own",)),
+    Mutant("run_cell: the start filled after the timer starts", BENCH,
+           "    dsatur_start(record.graph)\n    t0 = clock.now()\n",
+           "    t0 = clock.now()\n    dsatur_start(record.graph)\n",
+           ("tests/test_bench.py::TestStartCache::"
+            "test_run_cell_starts_its_timer_after_the_start",)),
+    Mutant("run_benchmark: no start filled before the fan-out", BENCH,
+           "    for rec in records:\n        dsatur_start(rec.graph)\n", "",
+           ("tests/test_bench.py::TestStartCache::"
+            "test_start_is_computed_once_per_instance_before_the_fan_out",)),
     Mutant("build_graph: duplicate neighbors kept", GRAPH,
            "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
            ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",

@@ -2,9 +2,12 @@
 
 Grammar accepted: ``c`` comment lines anywhere, possibly indented; exactly one
 ``p edge N M`` header (``p col N M`` is a synonym); and ``e u v`` lines with
-1-indexed endpoints separated by one or more spaces. Unknown line types are
-ignored with a warning; an ``e``-line count that disagrees with the header is
-a warning, not an error, because duplicate edges legitimately collapse.
+1-indexed endpoints separated by one or more spaces. Every number is ASCII
+digits, with an optional minus sign so that a negative one is named as such;
+``+5``, ``1_0`` and non-ASCII digits, which Python's int() also reads, are
+refused. Unknown line types are ignored with a warning; an ``e``-line count
+that disagrees with the header is a warning, not an error, because duplicate
+edges legitimately collapse.
 
 A file of exactly the shape `render_dimacs` writes (``c`` lines at column 0,
 one ``p`` line with single spaces, then only ``e U V`` lines of ASCII digits,
@@ -69,6 +72,9 @@ class InstanceRecord:
 _STRICT_HEAD = re.compile(
     r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
     r"p (?:edge|col) ([0-9]+) ([0-9]+)\n")
+# A number in a DIMACS file or a reference table. int() alone would also
+# take a plus sign, underscores and any Unicode decimal digit.
+_INTEGER = re.compile(r"-?[0-9]+")
 # Matches at the start of the first line that is not `e U V`. A search for
 # it keeps no state per line, where one match over the whole block would.
 _NOT_E_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+$)", re.M)
@@ -126,8 +132,8 @@ def _parse_lines(text: str) -> ParsedDimacs:
             if len(tokens) != 4 or tokens[1] not in ("edge", "col"):
                 raise DimacsError(f"malformed p line: {raw.rstrip()!r}", line_no)
             try:
-                vertex_count = int(tokens[2])
-                declared = int(tokens[3])
+                vertex_count = _integer(tokens[2])
+                declared = _integer(tokens[3])
             except ValueError:
                 raise DimacsError(f"non-integer p line fields: {raw.rstrip()!r}", line_no)
             if vertex_count < 0 or declared < 0:
@@ -138,8 +144,8 @@ def _parse_lines(text: str) -> ParsedDimacs:
             if len(tokens) != 3:
                 raise DimacsError(f"malformed e line: {raw.rstrip()!r}", line_no)
             try:
-                u = int(tokens[1])
-                v = int(tokens[2])
+                u = _integer(tokens[1])
+                v = _integer(tokens[2])
             except ValueError:
                 raise DimacsError(f"non-integer endpoint: {raw.rstrip()!r}", line_no)
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
@@ -154,6 +160,13 @@ def _parse_lines(text: str) -> ParsedDimacs:
     if vertex_count < 0:
         raise DimacsError("missing p line")
     return _parsed(vertex_count, edges, declared, warnings)
+
+
+def _integer(token: str) -> int:
+    """The value of an `_INTEGER` token; ValueError for any other token."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _parsed(vertex_count: int, edges: list[tuple[int, int]], declared: int,
@@ -198,7 +211,7 @@ def read_reference_table(path: str | Path) -> dict[str, int]:
         if len(parts) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'name colors', got {raw!r}")
         try:
-            colors = int(parts[1])
+            colors = _integer(parts[1])
         except ValueError:
             colors = 0
         if colors < 1:

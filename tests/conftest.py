@@ -251,3 +251,17 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
     return build_graph(10, outer + spokes + inner)
+
+
+@pytest.fixture
+def start_calls(monkeypatch):
+    """Spies on the two computations of the k-reduction's start, reached
+    through `chroma.search` globals: each call appends (name, id(graph))."""
+    import chroma.search as search_module
+    calls: list[tuple[str, int]] = []
+    for name in ("dsatur", "chromatic_lower_bound"):
+        def spy(g, *args, _real=getattr(search_module, name), _name=name):
+            calls.append((_name, id(g)))
+            return _real(g, *args)
+        monkeypatch.setattr(search_module, name, spy)
+    return calls

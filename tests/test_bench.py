@@ -1,11 +1,12 @@
 import io
+import pickle
 from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chroma import bench, render_dimacs
+from chroma import VirtualClock, bench, render_dimacs
 from chroma.bench import (PARAM_OVERRIDES, BenchManifest, InternalInvariantError,
                           RunResult, compare_report, diff_percent, parse_manifest,
                           run_benchmark, run_cell)
@@ -304,6 +305,50 @@ class TestRunBenchmark:
         rows, _ = run_benchmark(small_manifest, jobs=jobs)
         assert len(rows) == 8
         assert started == [workers]
+
+
+class PicklingPool:
+    """Runs the cells in this process, but hands each one a pickled copy of
+    its arguments, as a process pool's workers receive them."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+
+class TestStartCache:
+    """Each graph's DSatur start is computed once, outside every cell's timer."""
+
+    def test_start_is_computed_once_per_instance_before_the_fan_out(
+            self, small_manifest, monkeypatch, start_calls):
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", PicklingPool)
+        rows, _ = run_benchmark(small_manifest, jobs=2)
+        assert len(rows) == 8
+        assert [name for name, _ in start_calls].count("dsatur") == 2
+        assert [name for name, _ in start_calls].count("chromatic_lower_bound") == 2
+
+    def test_run_cell_starts_its_timer_after_the_start(self, tmp_path, monkeypatch,
+                                                       start_calls):
+        record = load_instance(_write_instance(tmp_path, "c5", 5,
+                                               [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+        readings = []
+
+        class Probe(VirtualClock):
+            def now(self):
+                readings.append(len(start_calls))  # start computations so far
+                return super().now()
+
+        monkeypatch.setattr(bench, "make_clock", Probe)
+        run_cell(record, "HC", 1, FIVE_SECONDS)
+        assert readings and readings[0] == 2
 
 
 class TestCompareReport:

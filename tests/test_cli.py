@@ -91,6 +91,20 @@ class TestSolve:
         assert out == ""
         assert err == f"error: {loop}: line 3: self-loop: e 3 3\n"
 
+    @pytest.mark.parametrize("body,line", [
+        ("p edge 20 1\ne 1_0 2\n", "line 2: non-integer endpoint: 'e 1_0 2'"),
+        ("p edge +3 0\n", "line 1: non-integer p line fields: 'p edge +3 0'"),
+        ("p edge 3 1\ne \uff11 2\n", "line 2: non-integer endpoint: 'e \uff11 2'"),
+    ])
+    def test_a_number_int_reads_but_dimacs_does_not_exits_2(self, capsys, tmp_path,
+                                                           body, line):
+        path = tmp_path / "x.col"
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path), "--method", "hc")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {line}\n"
+
     def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path):
         binary = tmp_path / "bin.col"
         binary.write_bytes(b"\xffp edge 1 0\n")

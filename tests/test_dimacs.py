@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,27 @@ class TestParse:
             parse_dimacs("p edge 3 3\ne 1\n")
         with pytest.raises(DimacsError):
             parse_dimacs("p edge 3 3\ne one two\n")
+
+    @pytest.mark.parametrize("text,message", [
+        # forms Python's int() reads but a DIMACS number is not
+        ("p edge 20 1\ne 1_0 2\n", "line 2: non-integer endpoint: 'e 1_0 2'"),
+        ("p edge 20 1\ne 1 +2\n", "line 2: non-integer endpoint: 'e 1 +2'"),
+        ("p edge 20 1\ne \uff11 2\n", "line 2: non-integer endpoint: 'e \uff11 2'"),
+        ("p edge 20 1\ne 1 \u0662\n", "line 2: non-integer endpoint: 'e 1 \u0662'"),
+        ("p edge 2_0 1\n", "line 1: non-integer p line fields: 'p edge 2_0 1'"),
+        ("p edge +20 1\n", "line 1: non-integer p line fields: 'p edge +20 1'"),
+        ("c x\np edge 20 \uff11\n",
+         "line 2: non-integer p line fields: 'p edge 20 \uff11'"),
+        # the messages these inputs always had
+        ("p edge -1 0\n", "line 1: negative count in p line"),
+        ("p edge 3 -2\n", "line 1: negative count in p line"),
+        ("p edge 3 1\ne -1 2\n", "line 2: endpoint out of range [1, 3]: e -1 2"),
+        ("p edge 3 1\ne 1 2.0\n", "line 2: non-integer endpoint: 'e 1 2.0'"),
+    ])
+    def test_numbers_are_ascii_digits(self, text, message):
+        with pytest.raises(DimacsError) as info:
+            parse_dimacs(text)
+        assert str(info.value) == message
 
     def test_edge_count_mismatch_is_warning_not_error(self):
         parsed = parse_dimacs("p edge 3 5\ne 1 2\ne 2 3\n")
@@ -276,11 +298,11 @@ class TestReferenceTable:
         path.write_text("# best known\ntoy20 4\nDSJC125.1, 5\n")
         assert read_reference_table(path) == {"toy20": 4, "DSJC125.1": 5}
 
-    @pytest.mark.parametrize("count", ["x", "0", "-3", "4.5"])
+    @pytest.mark.parametrize("count", ["x", "0", "-3", "4.5", "+5", "1_7", "\uff15"])
     def test_bad_count_names_its_line(self, tmp_path, count):
         path = tmp_path / "refs.txt"
-        path.write_text(f"toy20 4\ntoy30 {count}\n")
-        with pytest.raises(ValueError, match=rf"refs\.txt:2: .*'{count}'"):
+        path.write_text(f"toy20 4\ntoy30 {count}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"refs\.txt:2: .*'{re.escape(count)}'"):
             read_reference_table(path)
 
     def test_a_name_listed_twice_names_both_lines(self, tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import deque
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chroma.search as search_module
-from chroma import (METHODS, SearchOutcome, SolverParams, VirtualClock,
+from chroma import (METHODS, Graph, SearchOutcome, SolverParams, VirtualClock,
                     WallClock, build_graph, chromatic_lower_bound,
                     chromatic_number_exact, color_count, dsatur, hill_climbing,
                     is_proper, iterated_local_search, project_coloring,
@@ -627,7 +628,8 @@ class TestSolveKReduction:
         Same (k, coloring); the trace loses at most its last, failed level,
         and only where the bound equals k. Each of these graphs has at most 9
         vertices, so the bound is the chromatic number and every cell skips
-        its failed level."""
+        its failed level. The patched side solves a fresh equal graph, since
+        `g` already caches the start it took with the real bound."""
         monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
         skipped = 0
         for i in range(30):
@@ -640,7 +642,8 @@ class TestSolveKReduction:
                 new_coloring, new_k, new_trace = solve_k_reduction(g, p, seed=1)
                 with monkeypatch.context() as m:
                     m.setattr(search_module, "chromatic_lower_bound", lambda g, k: 2)
-                    old_coloring, old_k, old_trace = solve_k_reduction(g, p, seed=1)
+                    fresh = Graph(g.vertex_count, g.edge_count, g.adjacency)
+                    old_coloring, old_k, old_trace = solve_k_reduction(fresh, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
                 dropped = old_trace[len(new_trace):]
@@ -733,3 +736,63 @@ class TestSolveKReduction:
         coloring, k, _ = solve_k_reduction(g, p, seed=1)
         assert is_proper(g, coloring)
         assert color_count(coloring) <= k
+
+
+def start_of(*graphs):
+    """The start computations `start_calls` would record for these graphs."""
+    return sorted((name, id(g)) for g in graphs
+                  for name in ("dsatur", "chromatic_lower_bound"))
+
+
+class TestStartCache:
+    """The k-reduction's start (DSatur's coloring, its k and the lower bound) is
+    computed once per Graph object and reused by every later solve."""
+
+    def test_one_start_per_graph_across_methods_and_seeds(self, start_calls, monkeypatch):
+        monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+        warm = [random_graph(20, 0.5, seed=s) for s in (1, 2)]
+        cells = [(g, params(method=method, wall_budget_seconds=2.0), seed)
+                 for g in warm for method in METHODS for seed in (1, 2)]
+        results = [solve_k_reduction(*cell) for cell in cells]
+        assert sorted(start_calls) == start_of(*warm)
+        assert any(trace for _, _, trace in results)  # levels ran from the start
+        # each solve of a fresh equal graph computes its own start: same result
+        assert results == [solve_k_reduction(Graph(g.vertex_count, g.edge_count, g.adjacency),
+                                             p, seed) for g, p, seed in cells]
+
+    def test_returned_coloring_is_a_copy(self, k4):
+        first, k, trace = solve_k_reduction(k4, params(), seed=1)
+        assert (k, trace) == (4, [])  # no level runs: the start itself is returned
+        expected = list(first)
+        first[0] = first[1]
+        again, _, _ = solve_k_reduction(k4, params(), seed=1)
+        assert again == expected
+        assert type(again) is list
+
+    def test_equal_distinct_graphs_each_compute_their_own(self, start_calls):
+        a = random_graph(10, 0.5, seed=3)
+        b = Graph(a.vertex_count, a.edge_count, a.adjacency)
+        assert a == b and a is not b
+        for g in (a, b, a, b):
+            solve_k_reduction(g, params(wall_budget_seconds=1.0), seed=1,
+                              clock=VirtualClock())
+        assert sorted(start_calls) == start_of(a, b)
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        warm = random_graph(10, 0.5, seed=4)
+        cold = Graph(warm.vertex_count, warm.edge_count, warm.adjacency)
+        search_module.dsatur_start(warm)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_pickled_warm_graph_keeps_its_start(self, start_calls):
+        warm = random_graph(10, 0.5, seed=5)
+        expected = solve_k_reduction(warm, params(wall_budget_seconds=1.0), seed=1,
+                                     clock=VirtualClock())
+        copy = pickle.loads(pickle.dumps(warm))
+        start_calls.clear()
+        got = solve_k_reduction(copy, params(wall_budget_seconds=1.0), seed=1,
+                                clock=VirtualClock())
+        assert start_calls == []
+        assert got == expected
