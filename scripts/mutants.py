@@ -31,6 +31,7 @@ COPIED = ("src", "tests", "scripts", "data")
 SEARCH = "src/chroma/search.py"
 HEURISTICS = "src/chroma/heuristics.py"
 BENCH = "src/chroma/bench.py"
+CLI = "src/chroma/cli.py"
 DIMACS = "src/chroma/dimacs.py"
 GRAPH = "src/chroma/graph.py"
 
@@ -41,10 +42,17 @@ REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
                "test_report_malformed_row_exits_2_naming_its_line")
 STRICT_CASES = "tests/test_dimacs.py::TestStrictPath::test_agrees_on_the_edge_cases"
 STRICT_FUZZ = "tests/test_dimacs.py::TestStrictPath::test_agrees_with_the_line_parser"
+MANIFEST_ERRORS = "tests/test_bench.py::TestManifest::test_rejects_malformed"
+INT_FLAGS = "tests/test_cli.py::TestSolve::test_an_int_flag_int_reads_but_dimacs_does_not_exits_2"
 ASCII_NUMBERS = ("tests/test_dimacs.py::TestParse::test_numbers_are_ascii_digits",
                  "tests/test_dimacs.py::TestReferenceTable::test_bad_count_names_its_line",
                  "tests/test_cli.py::TestSolve::"
-                 "test_a_number_int_reads_but_dimacs_does_not_exits_2")
+                 "test_a_number_int_reads_but_dimacs_does_not_exits_2",
+                 MANIFEST_ERRORS, REPORT_ROWS, INT_FLAGS)
+EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
+                 "test_an_empty_graph_is_skipped_naming_its_file",
+                 "tests/test_cli.py::TestBenchAndReport::"
+                 "test_an_empty_instance_is_skipped_and_the_run_continues")
 
 
 class Mutant(NamedTuple):
@@ -87,6 +95,12 @@ MUTANTS = [
            "if hits == 1:\n                insort(conflicted, u)\n",
            "if hits == 1:\n                pass\n",
            ("tests/test_search.py::TestConflictState::test_matches_recount_after_every_apply",)),
+    Mutant("_climb: plateau moves rejected", SEARCH,
+           "\n        if d > 0:\n", "\n        if d >= 0:\n", (CLIMB_KERNEL, GOLDEN)),
+    Mutant("ILS: a kick of 10% of the vertices", SEARCH,
+           "_KICK_FRACTION = 0.05", "_KICK_FRACTION = 0.1",
+           ("tests/test_search.py::TestIteratedLocalSearch::"
+            "test_a_kick_recolors_5_percent_of_the_vertices_rounded_up", GOLDEN)),
     Mutant("_climb: move cost masked to 40 bits", SEARCH,
            "\n        d = (masks[v] & classes[new]).bit_count() - own[v]\n",
            "\n        d = (masks[v] & classes[new] & (1 << 40) - 1).bit_count() - own[v]\n",
@@ -99,9 +113,9 @@ MUTANTS = [
     Mutant("ILS: adopts results of equal conflicts", SEARCH,
            "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
            ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),
-    Mutant("parse_manifest: hc_strict parsed but dropped", BENCH,
+    Mutant("parse_manifest: ts_num_tweaks parsed but dropped", BENCH,
            "            overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
-           "            if key != 'hc_strict':\n"
+           "            if key != 'ts_num_tweaks':\n"
            "                overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
            ("tests/test_bench.py::TestManifest::test_every_key_reaches_params",)),
     Mutant("read_reference_table: duplicate-name check removed", DIMACS,
@@ -179,10 +193,24 @@ MUTANTS = [
            "    t0 = clock.now()\n    dsatur_start(record.graph)\n",
            ("tests/test_bench.py::TestStartCache::"
             "test_run_cell_starts_its_timer_after_the_start",)),
-    Mutant("run_benchmark: no start filled before the fan-out", BENCH,
-           "    for rec in records:\n        dsatur_start(rec.graph)\n", "",
+    Mutant("run_benchmark: no start filled before the fan-out, so an empty graph "
+           "aborts the run", BENCH,
+           "records.append(prepare_instance(inst_path, reference))",
+           "records.append(load_instance(inst_path, reference))",
            ("tests/test_bench.py::TestStartCache::"
-            "test_start_is_computed_once_per_instance_before_the_fan_out",)),
+            "test_start_is_computed_once_per_instance_before_the_fan_out", *EMPTY_SKIPPED)),
+    Mutant("prepare_instance: an empty graph's error names no file", BENCH,
+           'raise ValueError(f"{path}: {exc}") from None', "raise",
+           ("tests/test_cli.py::TestSolve::test_an_empty_graph_exits_2_naming_its_file",
+            *EMPTY_SKIPPED)),
+    Mutant("parse_manifest: integers read by int() alone", BENCH,
+           "        return _integer(text)\n", "        return int(text)\n", (MANIFEST_ERRORS,)),
+    Mutant("read_results_csv: counts read by int() alone", BENCH,
+           'seed=_integer(rec["seed"]),\n                k_colors=_integer(rec["k_colors"]),',
+           'seed=int(rec["seed"]),\n                k_colors=int(rec["k_colors"]),',
+           (REPORT_ROWS,)),
+    Mutant("cli: int flags read by int() alone", CLI,
+           'command.register("type", int, _integer)', "pass", (INT_FLAGS,)),
     Mutant("build_graph: duplicate neighbors kept", GRAPH,
            "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
            ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import IO, Optional
 
 from .clock import make_clock
-from .dimacs import (InstanceRecord, load_instance, read_reference_table,
-                     read_utf8)
+from .dimacs import (InstanceRecord, _integer, load_instance,
+                     read_reference_table, read_utf8)
 from .graph import is_proper
 from .search import (METHODS, PARAM_TYPES, SolverParams, dsatur_start,
                      solve_k_reduction)
@@ -100,11 +100,11 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
             row = RunResult(
                 instance=rec["instance"],
                 method=rec["method"],
-                seed=int(rec["seed"]),
-                k_colors=int(rec["k_colors"]),
+                seed=_integer(rec["seed"]),
+                k_colors=_integer(rec["k_colors"]),
                 proper=True,
                 wall_seconds=float(rec["wall_seconds"]),
-                best_known=int(rec["best_known"]) if rec["best_known"] else None,
+                best_known=_integer(rec["best_known"]) if rec["best_known"] else None,
                 diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
             )
             for key in ("k_colors", "best_known"):
@@ -142,13 +142,11 @@ class BenchManifest:
 # flags of their own (methods/--method, budget/--budget).
 PARAM_OVERRIDES = {name: kind for name, kind in PARAM_TYPES.items()
                    if name not in ("method", "wall_budget_seconds")}
-_BOOL_VALUES = {"1": True, "true": True, "yes": True,
-                "0": False, "false": False, "no": False}
 
 
 def _parse_int(where: str, key: str, text: str) -> int:
     try:
-        return int(text)
+        return _integer(text)
     except ValueError:
         raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
 
@@ -163,16 +161,8 @@ def _parse_float(where: str, key: str, text: str) -> float:
     return value
 
 
-def _parse_bool(where: str, key: str, text: str) -> bool:
-    if text.lower() not in _BOOL_VALUES:
-        raise ValueError(f"{where}: {key} must be one of 1/0/true/false/yes/no, "
-                         f"got {text!r}")
-    return _BOOL_VALUES[text.lower()]
-
-
 # Declared type of a solver parameter -> parser of its manifest value.
-_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool,
-            str: lambda where, key, text: text}
+_PARSERS = {int: _parse_int, float: _parse_float}
 
 
 def parse_manifest(path: str | Path) -> BenchManifest:
@@ -180,9 +170,10 @@ def parse_manifest(path: str | Path) -> BenchManifest:
 
     Recognized keys: instances, methods, seeds, budget, references, and any
     solver parameter name (hc_iterations, sa_decrement, ...). Results name
-    an instance by its file stem, so no two instances may share one. The
-    solver parameters are checked together as SolverParams; an error names
-    the line of the last override it mentions.
+    an instance by its file stem, so no two instances may share one. Seeds
+    and int parameters are ASCII digits with an optional minus sign, as in a
+    DIMACS file. The solver parameters are checked together as SolverParams;
+    an error names the line of the last override it mentions.
     """
     path = Path(path)
     instances: dict[str, str] = {}  # file stem -> instance path
@@ -246,6 +237,19 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     return BenchManifest(list(instances.values()), methods, seeds, params, references)
 
 
+def prepare_instance(path: str | Path,
+                     reference_table: Optional[dict[str, int]] = None) -> InstanceRecord:
+    """`load_instance` with the graph's DSatur start computed (see
+    `dsatur_start`). Every error names the file, including the ValueError
+    for an empty graph, which no search can color."""
+    record = load_instance(path, reference_table)
+    try:
+        dsatur_start(record.graph)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return record
+
+
 def run_cell(record: InstanceRecord, method: str, seed: int,
              params: SolverParams) -> RunResult:
     """Execute one cell, timing the search only, and verify its witness.
@@ -281,12 +285,12 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
                   fmt: str = "csv", jobs: int = 1) -> tuple[list[RunResult], list[str]]:
     """Execute every (instance x method x seed) cell.
 
-    Instances that fail to load are skipped and their errors, each naming
-    its file, returned as a list; an improper coloring from a solver aborts
-    the whole run. Rows come back sorted by (instance, method, seed) so
-    concurrency never changes the output. Each graph's DSatur start is
-    computed once, before the cells fan out, and travels to the pool's
-    workers with the pickled graph.
+    Instances that fail to load, and empty graphs, which cannot be colored,
+    are skipped and their errors, each naming its file, returned as a list;
+    an improper coloring from a solver aborts the whole run. Rows come back
+    sorted by (instance, method, seed) so concurrency never changes the
+    output. Each graph's DSatur start is computed once, before the cells fan
+    out, and travels to the pool's workers with the pickled graph.
     """
     reference = None
     if manifest.references_path is not None:
@@ -295,11 +299,9 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
     records: list[InstanceRecord] = []
     for inst_path in manifest.instances:
         try:
-            records.append(load_instance(inst_path, reference))
+            records.append(prepare_instance(inst_path, reference))
         except (OSError, ValueError) as exc:
-            errors.append(str(exc))  # load_instance names the path
-    for rec in records:
-        dsatur_start(rec.graph)
+            errors.append(str(exc))  # prepare_instance names the path
     cells = [(rec, method, seed, manifest.params)
              for rec in records
              for method in manifest.methods

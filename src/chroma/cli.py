@@ -16,14 +16,16 @@ from pathlib import Path
 from typing import Optional
 
 from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
-                    parse_manifest, read_results_csv, run_benchmark, run_cell)
-from .dimacs import DimacsError, load_instance, read_reference_table, read_utf8
+                    parse_manifest, prepare_instance, read_results_csv,
+                    run_benchmark, run_cell)
+from .dimacs import (DimacsError, _integer, load_instance, read_reference_table,
+                     read_utf8)
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
 from .search import METHODS, SolverParams
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -45,12 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"wall budget in seconds (default {defaults.wall_budget_seconds:g})")
     solve.add_argument("--references", help="override best-known color table")
     for name, kind in PARAM_OVERRIDES.items():
-        flag = "--" + name.replace("_", "-")
-        help_text = f"default: {getattr(defaults, name)}"
-        if kind is bool:
-            solve.add_argument(flag, action="store_true", default=None, help=help_text)
-        else:
-            solve.add_argument(flag, type=kind, default=None, help=help_text)
+        solve.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
+                           help=f"default: {getattr(defaults, name)}")
 
     bench = sub.add_parser("bench", help="run a benchmark manifest")
     bench.add_argument("--manifest", required=True)
@@ -66,6 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     exact.add_argument("file")
     exact.add_argument("--limit", type=int, default=EXACT_VERTEX_LIMIT)
 
+    # type=int reads ASCII digits with an optional minus sign, as a DIMACS
+    # number is read; argparse still calls the type int in its errors
+    for command in sub.choices.values():
+        command.register("type", int, _integer)
     return parser
 
 
@@ -80,7 +82,7 @@ def _params_from_args(args: argparse.Namespace) -> SolverParams:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     reference = read_reference_table(args.references) if args.references else None
-    record = load_instance(args.file, reference)
+    record = prepare_instance(args.file, reference)
     result = run_cell(record, args.method.upper(), args.seed, _params_from_args(args))
     line = f"{result.instance} {result.method} seed={result.seed}: k={result.k_colors}"
     if result.best_known is not None:

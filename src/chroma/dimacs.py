@@ -72,8 +72,9 @@ class InstanceRecord:
 _STRICT_HEAD = re.compile(
     r"(?:c[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n)*"
     r"p (?:edge|col) ([0-9]+) ([0-9]+)\n")
-# A number in a DIMACS file or a reference table. int() alone would also
-# take a plus sign, underscores and any Unicode decimal digit.
+# A number in a DIMACS file, a reference table, a manifest, a results CSV or
+# an int flag. int() alone would also take a plus sign, underscores, any
+# Unicode decimal digit and surrounding whitespace.
 _INTEGER = re.compile(r"-?[0-9]+")
 # Matches at the start of the first line that is not `e U V`. A search for
 # it keeps no state per line, where one match over the whole block would.
@@ -163,9 +164,11 @@ def _parse_lines(text: str) -> ParsedDimacs:
 
 
 def _integer(token: str) -> int:
-    """The value of an `_INTEGER` token; ValueError for any other token."""
+    """The value of an `_INTEGER` token. Any other token raises ValueError in
+    the words int() uses for a non-number, so a caller that read numbers with
+    int() keeps its messages."""
     if _INTEGER.fullmatch(token) is None:
-        raise ValueError(f"not an integer: {token!r}")
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
 
 

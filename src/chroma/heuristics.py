@@ -1,5 +1,5 @@
-"""Constructive colorings, a chromatic lower bound and an exact small-instance
-chromatic-number oracle.
+"""DSatur's constructive coloring, a chromatic lower bound and an exact
+small-instance chromatic-number oracle.
 
 DSatur repeatedly colors the uncolored vertex with the highest saturation
 degree (count of distinct colors among already-colored neighbors), breaking
@@ -17,23 +17,11 @@ stops short of a known coloring's color count.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .graph import Coloring, Graph
 
 EXACT_VERTEX_LIMIT = 16
-
-
-def random_coloring(g: Graph, k: int, seed: int) -> Coloring:
-    """Assign each vertex an independent uniform color from {0..k-1}.
-
-    Deterministic for a fixed seed: one draw per vertex, in index order.
-    """
-    if k < 1:
-        raise ValueError(f"palette size must be at least 1, got {k}")
-    rng = random.Random(seed)
-    return [rng.randrange(k) for _ in range(g.vertex_count)]
 
 
 def dsatur(g: Graph) -> Coloring:

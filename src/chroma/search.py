@@ -24,7 +24,7 @@ the rejection draw that `random.Random.randrange(m)` makes on Python 3.10 and
 3.11: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
 the color draw is randrange(1), which still takes one bit per move. The rng
 stream, and so every seeded trajectory, is the one `randrange` would give.
-`_perturb`, `random_coloring` and ILS's `rng.sample` still call the stdlib.
+`_perturb`, ILS's kick, still calls the stdlib's `sample` and `randrange`.
 
 Every method is deterministic given (graph, params, seed), except that a real
 wall clock may cut time-driven loops at machine-dependent points; under the
@@ -45,10 +45,9 @@ from typing import Callable, Optional, Sequence
 
 from .clock import Clock, make_clock
 from .graph import Coloring, Graph, color_count
-from .heuristics import chromatic_lower_bound, dsatur, random_coloring
+from .heuristics import chromatic_lower_bound, dsatur
 
 METHODS = ("HC", "SA", "TS", "ILS")
-INITIALIZERS = ("dsatur", "random")
 
 AcceptHook = Callable[[int, int, float], None]  # (iteration, conflicts, elapsed)
 
@@ -56,13 +55,6 @@ AcceptHook = Callable[[int, int, float], None]  # (iteration, conflicts, elapsed
 @dataclass
 class SolverParams:
     """Per-method search parameters; defaults follow the benchmark setup.
-
-    hc_strict, sa_geometric, ils_perturbation and initializer are knobs over
-    details the benchmark setup leaves open (plateau acceptance, cooling
-    shape, kick strength, initial coloring). ils_queue_length, the length of
-    the benchmark setup's ILS home-base queue, is checked but has no effect:
-    ILS adopts only strictly better home bases, so none can recur (see
-    iterated_local_search).
 
     The fields are the one parameter schema: each is checked by its declared
     type (PARAM_TYPES), and the `solve` flags and manifest keys are built
@@ -78,19 +70,11 @@ class SolverParams:
     ts_num_tweaks: int = 10
     ils_inner_seconds: float = 10.0
     ils_total_seconds: float = 100.0
-    ils_queue_length: int = 70
     wall_budget_seconds: float = 600.0
-    hc_strict: bool = False
-    sa_geometric: bool = False
-    ils_perturbation: float = 0.05
-    initializer: str = "dsatur"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.initializer not in INITIALIZERS:
-            raise ValueError(f"initializer must be one of {INITIALIZERS}, "
-                             f"got {self.initializer!r}")
         for name, kind in PARAM_TYPES.items():
             value = getattr(self, name)
             # bool is an int subclass; a NaN count never ends a loop (i >= nan is false)
@@ -102,11 +86,9 @@ class SolverParams:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.ils_inner_seconds > self.ils_total_seconds:
             raise ValueError("ils_inner_seconds cannot exceed ils_total_seconds")
-        if self.ils_perturbation > 1.0:
-            raise ValueError("ils_perturbation must be in (0, 1]")
 
 
-# Field name -> declared type (int, float, bool or str).
+# Field name -> declared type: str for method, int or float for the rest.
 PARAM_TYPES: dict[str, type] = typing.get_type_hints(SolverParams)
 
 
@@ -225,15 +207,14 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
 
 
 def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
-           t_origin: float, iterations: int = sys.maxsize,
-           stop_at: float = math.inf, strict: bool = False,
+           t_origin: float, iterations: int = sys.maxsize, stop_at: float = math.inf,
            schedule: Optional[Callable[[int], float]] = None,
            on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
     """The tweak/accept loop of hill climbing, simulated annealing and the
     ILS inner search.
 
-    Move i (counted from 1) of cost d is accepted when d < 0, or d == 0 and
-    not `strict`. A worsening move is rejected without a schedule; with one
+    Move i (counted from 1) of cost d is accepted when d <= 0: a plateau move
+    is taken too. A worsening move is rejected without a schedule; with one
     it is accepted with probability exp(-d / t) at t = schedule(i), never at
     t <= 0. rng.random() is drawn only in that last, probabilistic case, so
     at zero temperature the move stream is that of plateau hill climbing.
@@ -281,16 +262,14 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
         now = tick()
         if d > 0:
             t = schedule(i) if schedule is not None else 0.0
-            accept = t > 0.0 and rng.random() < math.exp(-d / t)
-        else:
-            accept = d < 0 or not strict
-        if accept:
-            apply(v, new)
-            if state.total < best_conf:
-                best_conf = state.total
-                best = list(colors)
-            if on_accept is not None:
-                on_accept(i, state.total, now - t_origin)
+            if not (t > 0.0 and rng.random() < math.exp(-d / t)):
+                continue
+        apply(v, new)
+        if state.total < best_conf:
+            best_conf = state.total
+            best = list(colors)
+        if on_accept is not None:
+            on_accept(i, state.total, now - t_origin)
     return best, best_conf, i
 
 
@@ -302,8 +281,7 @@ def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best, best_conf, evals = _climb(
         k, state, rng=rng, clock=clock, t_origin=t0,
-        iterations=params.hc_iterations, stop_at=deadline,
-        strict=params.hc_strict, on_accept=on_accept,
+        iterations=params.hc_iterations, stop_at=deadline, on_accept=on_accept,
     )
     return SearchOutcome(best, best_conf, evals + 1, clock.now() - t0)
 
@@ -315,16 +293,13 @@ def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverPar
     """Metropolis acceptance (see _climb) under a linearly decreasing
     temperature.
 
-    The initial temperature is sa_iterations * sa_decrement, so the linear
-    schedule hits exactly zero on the final iteration. The geometric
-    alternative cools by a factor (1 - sa_decrement) per step.
+    The temperature at move i is t_initial - i * sa_decrement, from
+    t_initial = sa_iterations * sa_decrement, so it hits exactly zero on the
+    final iteration.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     t_initial = params.sa_iterations * params.sa_decrement
-    if params.sa_geometric:
-        schedule = lambda i: t_initial * (1.0 - params.sa_decrement) ** i
-    else:
-        schedule = lambda i: t_initial - i * params.sa_decrement
+    schedule = lambda i: t_initial - i * params.sa_decrement
     best, best_conf, evals = _climb(
         k, state, rng=rng, clock=clock, t_origin=t0,
         iterations=params.sa_iterations, stop_at=deadline,
@@ -413,11 +388,18 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     return SearchOutcome(best, best_conf, 1 + i * num_tweaks, clock.now() - t0)
 
 
-def _perturb(colors: Sequence[int], k: int, rng: random.Random, fraction: float) -> Coloring:
-    """Recolor ceil(fraction * n) distinct vertices, each to a uniform other color."""
+# The share of vertices an ILS kick recolors: the one setting of the benchmark
+# setup, like SolverParams' defaults. It is small, so each climb restarts near
+# its home base, and rounded up, so every kick moves at least one vertex.
+_KICK_FRACTION = 0.05
+
+
+def _perturb(colors: Sequence[int], k: int, rng: random.Random) -> Coloring:
+    """Recolor ceil(_KICK_FRACTION * n) distinct vertices, each to a uniform
+    other color."""
     out = list(colors)
     n = len(out)
-    count = min(n, math.ceil(fraction * n))
+    count = min(n, math.ceil(_KICK_FRACTION * n))
     for v in rng.sample(range(n), count):
         r = rng.randrange(k - 1)
         old = out[v]
@@ -433,11 +415,10 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
 
     Runs ils_inner_seconds climbs until ils_total_seconds elapse; a climb
     already in flight then is allowed to finish, but none runs past
-    `deadline`. The home
-    base is the best coloring so far: a result with strictly fewer conflicts
-    replaces it, and the next climb starts from it with a perturbation kick
-    applied. Home-base conflicts only fall, so no home base recurs and no
-    memory of past ones is kept: ils_queue_length has no effect.
+    `deadline`. The home base is the best coloring so far: a result with
+    strictly fewer conflicts replaces it, and the next climb starts from it
+    with a kick applied (see _perturb). Home-base conflicts only fall, so no
+    home base recurs and no memory of past ones is kept.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
@@ -458,7 +439,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         if inner_conf < best_conf:
             best_conf = inner_conf
             best = inner_best
-        current = _perturb(best, k, rng, params.ils_perturbation)
+        current = _perturb(best, k, rng)
     return SearchOutcome(best, best_conf, evals, clock.now() - t0)
 
 
@@ -518,14 +499,14 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
     """Drive the configured method through decreasing palette sizes.
 
     Starts from DSatur's proper coloring and its color count k, then attempts
-    k-1, k-2, ... with the incumbent witness projected down one level each
-    time (or a fresh random coloring under initializer='random'). The first
-    failed attempt, an exhausted wall budget, or a k equal to
-    `chromatic_lower_bound(g, k)` ends the run; the smallest achieved k is
-    returned with its proper witness and the per-level outcomes. A level
-    below the bound is never attempted, since it could only fail; up to 16
-    vertices the bound is the chromatic number itself. The seeded generator
-    that draws each level's seed is built only when a level runs.
+    k-1, k-2, ... from the incumbent witness projected down one level each
+    time (see project_coloring). The first failed attempt, an exhausted wall
+    budget, or a k equal to `chromatic_lower_bound(g, k)` ends the run; the
+    smallest achieved k is returned with its proper witness and the
+    per-level outcomes. A level below the bound is never attempted, since it
+    could only fail; up to 16 vertices the bound is the chromatic number
+    itself. The seeded generator that draws each level's seed is built only
+    when a level runs.
 
     DSatur's coloring, k and the bound come from `dsatur_start`, computed at
     the first solve of `g` and reused by every later one. It is read before
@@ -544,10 +525,7 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
         if master is None:
             master = random.Random(seed)
         target = k - 1
-        if params.initializer == "random":
-            init = random_coloring(g, target, master.getrandbits(64))
-        else:
-            init = project_coloring(g, best, target)
+        init = project_coloring(g, best, target)
         level_seed = master.getrandbits(64)
         outcome = run(g, target, init, params, level_seed, clock=clock, deadline=deadline)
         trace.append(outcome)

@@ -186,7 +186,7 @@ def reference_climb(g):
     costed by recounting the moved coloring. Only the state's colors are
     read, and the state is left as it was."""
     def climb(k, state, *, rng, clock, t_origin, iterations=sys.maxsize, stop_at=math.inf,
-              strict=False, schedule=None, on_accept=None):
+              schedule=None, on_accept=None):
         colors = list(state.colors)
         conf = conflict_count(g, colors)
         best, best_conf = list(colors), conf
@@ -202,7 +202,7 @@ def reference_climb(g):
                 t = schedule(i) if schedule is not None else 0.0
                 accept = t > 0.0 and rng.random() < math.exp(-d / t)
             else:
-                accept = d < 0 or not strict
+                accept = True
             if accept:
                 colors, conf = moved, moved_conf
                 if conf < best_conf:

@@ -49,8 +49,8 @@ class TestManifest:
             "budget = 30\n"
             "sa_iterations = 500  # trimmed\n"
             "ils_inner_seconds = 0.5\n"
-            "hc_strict = true\n"
-            "sa_geometric = Yes\n"
+            "ts_tabu_length = 7\n"
+            "sa_decrement = 0.01\n"
         )
         m = parse_manifest(path)
         assert m.instances == ["a.col", "b.col"]
@@ -58,7 +58,7 @@ class TestManifest:
         assert m.seeds == [1, 2]
         assert m.params == SolverParams(
             wall_budget_seconds=30.0, sa_iterations=500, ils_inner_seconds=0.5,
-            hc_strict=True, sa_geometric=True,
+            ts_tabu_length=7, sa_decrement=0.01,
         )
 
     def test_seeds_default(self, tmp_path):
@@ -75,6 +75,11 @@ class TestManifest:
 
     @pytest.mark.parametrize("text,match", [
         ("instances = a.col\nmethods = hc\nwhatever = 3\n", "unknown manifest key"),
+        # solver knobs that are no longer parameters
+        *[(f"instances = a.col\nmethods = hc\n{key} = 1\n",
+           rf"bad\.manifest:3: unknown manifest key '{key}'")
+          for key in ("hc_strict", "sa_geometric", "initializer", "ils_perturbation",
+                      "ils_queue_length")],
         ("instances = a.col\nmethods = ga\n", "unknown method"),
         ("methods = hc\n", "no instances"),
         ("instances = a.col\n", "no methods"),
@@ -85,8 +90,6 @@ class TestManifest:
          r"bad\.manifest:3: budget must be finite"),
         ("instances = a.col\nmethods = hc\nbudget = 0\n",
          r"bad\.manifest:3: budget must be finite"),
-        ("instances = a.col\nmethods = hc\nhc_strict = treu\n",
-         r"bad\.manifest:3: hc_strict must be one of"),
         ("instances = a.col\nmethods = hc\nhc_iterations = 5x\n",
          r"bad\.manifest:3: hc_iterations must be an integer, got '5x'"),
         ("instances = a.col\nmethods = hc\nts_tabu_length = 2.5\n",
@@ -99,6 +102,15 @@ class TestManifest:
          r"bad\.manifest:3: ils_total_seconds must be finite"),
         ("instances = a.col\nmethods = hc\nseeds = 1, two\n",
          r"bad\.manifest:3: seeds must be an integer, got 'two'"),
+        # integers are ASCII digits with an optional minus sign, as in DIMACS
+        ("instances = a.col\nmethods = hc\nseeds = 1_0\n",
+         r"bad\.manifest:3: seeds must be an integer, got '1_0'"),
+        ("instances = a.col\nmethods = hc\nseeds = 1, \uff12\n",
+         r"bad\.manifest:3: seeds must be an integer, got '\uff12'"),
+        ("instances = a.col\nmethods = hc\nhc_iterations = +5\n",
+         r"bad\.manifest:3: hc_iterations must be an integer, got '\+5'"),
+        ("instances = a.col\nmethods = hc\nts_num_tweaks = \u0663\n",
+         r"bad\.manifest:3: ts_num_tweaks must be an integer, got '\u0663'"),
         ("instances = a.col\nmethods = hc\nbudget = soon\n",
          r"bad\.manifest:3: budget must be a number, got 'soon'"),
         ("instances = a.col\nmethods = hc\nreferences =  # none\n",
@@ -108,11 +120,7 @@ class TestManifest:
         # values that parse but that SolverParams rejects
         ("instances = a.col\nmethods = hc\nhc_iterations = 0\n",
          r"bad\.manifest:3: hc_iterations must be an integer of at least 1, got 0"),
-        ("instances = a.col\nmethods = hc\nseeds = 1\nils_perturbation = 2\n",
-         r"bad\.manifest:4: ils_perturbation must be in \(0, 1\]"),
-        ("instances = a.col\nmethods = hc\ninitializer = greedy\n",
-         r"bad\.manifest:3: initializer must be one of"),
-        ("instances = a.col\nmethods = hc\nils_total_seconds = 5\nhc_strict = 1\n",
+        ("instances = a.col\nmethods = hc\nils_total_seconds = 5\nhc_iterations = 7\n",
          r"bad\.manifest:3: ils_inner_seconds cannot exceed ils_total_seconds"),
         ("instances = a.col\nmethods = hc\nils_inner_seconds = 50\n"
          "ils_total_seconds = 60\nils_inner_seconds = 70\n",
@@ -120,7 +128,7 @@ class TestManifest:
     ])
     def test_rejects_malformed(self, tmp_path, text, match):
         path = tmp_path / "bad.manifest"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             parse_manifest(path)
 
@@ -154,8 +162,6 @@ class TestManifest:
             "hc_iterations": 7, "sa_iterations": 11, "sa_decrement": 0.25,
             "ts_iterations": 3, "ts_tabu_length": 4, "ts_num_tweaks": 5,
             "ils_inner_seconds": 1.5, "ils_total_seconds": 2.5,
-            "ils_queue_length": 6, "hc_strict": True, "sa_geometric": True,
-            "ils_perturbation": 0.5, "initializer": "random",
         }
         assert set(values) == set(PARAM_OVERRIDES)
         defaults = SolverParams()
@@ -259,6 +265,18 @@ class TestRunBenchmark:
         for path, error in zip(bad, errors):
             assert error.count(path) == 1, error
         assert errors[2] == f"{loop}: line 2: self-loop: e 2 2"
+
+    def test_an_empty_graph_is_skipped_naming_its_file(self, tmp_path):
+        # it loads (`chroma exact` gives it chromatic number 0), but no
+        # search can color it: its cells are skipped, the others run
+        empty = _write_instance(tmp_path, "empty", 0, [])
+        inst = _write_instance(tmp_path, "tri", 3, [(0, 1), (1, 2), (0, 2)])
+        manifest = BenchManifest([str(empty), str(inst)], ["HC", "TS"], [1, 2],
+                                 FIVE_SECONDS)
+        rows, errors = run_benchmark(manifest)
+        assert [(r.instance, r.method, r.seed) for r in rows] == [
+            ("tri", "HC", 1), ("tri", "HC", 2), ("tri", "TS", 1), ("tri", "TS", 2)]
+        assert errors == [f"{empty}: cannot color an empty graph"]
 
     def test_writes_csv_when_given_stream(self, small_manifest):
         out = io.StringIO()

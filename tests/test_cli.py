@@ -38,7 +38,7 @@ class TestSolve:
     def test_param_overrides_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "solve", str(DATA_DIR / "toy20.col"),
                                "--method", "sa", "--budget", "5",
-                               "--sa-iterations", "200", "--initializer", "random")
+                               "--sa-iterations", "200", "--sa-decrement", "0.01")
         assert code == 0
         assert "k=" in out
 
@@ -55,20 +55,13 @@ class TestSolve:
 
     def test_flags_set_their_fields_and_leave_the_rest_default(self):
         args = _build_parser().parse_args(
-            ["solve", "x.col", "--method", "sa", "--budget", "9", "--hc-strict",
-             "--ts-tabu-length", "7", "--sa-decrement", "0.5", "--initializer", "random"])
+            ["solve", "x.col", "--method", "sa", "--budget", "9", "--hc-iterations", "40",
+             "--ts-tabu-length", "7", "--sa-decrement", "0.5", "--ils-inner-seconds", "2.5"])
         assert _params_from_args(args) == SolverParams(
-            method="SA", wall_budget_seconds=9.0, hc_strict=True, ts_tabu_length=7,
-            sa_decrement=0.5, initializer="random")
+            method="SA", wall_budget_seconds=9.0, hc_iterations=40, ts_tabu_length=7,
+            sa_decrement=0.5, ils_inner_seconds=2.5)
         args = _build_parser().parse_args(["solve", "x.col", "--method", "hc"])
         assert _params_from_args(args) == SolverParams()
-
-    def test_unknown_initializer_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
-                                 "--method", "hc", "--initializer", "greedy")
-        assert code == 2
-        assert out == ""
-        assert "initializer" in err and "greedy" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "no-such-file.col",
@@ -104,6 +97,35 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {line}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "tri.col", "--method", "hc", "--seed", "\uff13"],
+        ["solve", "tri.col", "--method", "hc", "--seed", " 2"],
+        ["solve", "tri.col", "--method", "hc", "--hc-iterations", "1_0"],
+        ["solve", "tri.col", "--method", "ts", "--ts-tabu-length", "+7"],
+        ["exact", "tri.col", "--limit", "1_6"],
+        ["bench", "--manifest", "m", "--out", "r.csv", "--jobs", "\uff12"],
+    ])
+    def test_an_int_flag_int_reads_but_dimacs_does_not_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: invalid " in err
+        assert f" value: {argv[-1]!r}" in err
+
+    def test_an_int_flag_reads_ascii_digits_and_a_minus_sign(self):
+        args = _build_parser().parse_args(
+            ["solve", "x.col", "--method", "hc", "--seed", "-3", "--hc-iterations", "007"])
+        assert (args.seed, args.hc_iterations) == (-3, 7)
+
+    def test_an_empty_graph_exits_2_naming_its_file(self, capsys, tmp_path):
+        empty = tmp_path / "empty.col"
+        empty.write_text("p edge 0 0\n")
+        code, out, err = run_cli(capsys, "solve", str(empty), "--method", "hc")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {empty}: cannot color an empty graph\n"
 
     def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path):
         binary = tmp_path / "bin.col"
@@ -205,6 +227,39 @@ class TestBenchAndReport:
         assert errors_file.exists()
         assert "ghost.col" in errors_file.read_text()
 
+    def test_an_empty_instance_is_skipped_and_the_run_continues(self, capsys, tmp_path):
+        tri = tmp_path / "tri.col"
+        tri.write_text(render_dimacs(3, [(0, 1), (1, 2), (0, 2)]))
+        empty = tmp_path / "empty.col"
+        empty.write_text("p edge 0 0\n")
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"instances = {tri}, {empty}\nmethods = hc\nseeds = 1\n")
+        out_csv = tmp_path / "results.csv"
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(out_csv), "--jobs", "1")
+        assert code == 0
+        assert "wrote 1 results" in out
+        assert out_csv.read_text().splitlines()[1].startswith("tri,HC,1,3,true,")
+        assert (tmp_path / "results.csv.errors.txt").read_text() == (
+            f"{empty}: cannot color an empty graph\n")
+        assert f"error: {empty}: cannot color an empty graph" in err
+
+    def test_a_retired_knob_exits_2(self, capsys, tmp_path):
+        # hc_strict, sa_geometric, initializer, ils_perturbation and
+        # ils_queue_length are no longer solver parameters
+        manifest = tmp_path / "old.manifest"
+        manifest.write_text("instances = a.col\nmethods = hc\nhc_strict = true\n")
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(tmp_path / "r.csv"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {manifest}:3: unknown manifest key 'hc_strict'\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DATA_DIR / "triangle.col"), "--method", "sa",
+                  "--sa-geometric"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sa-geometric" in capsys.readouterr().err
+
     def test_virtual_clock_bench_is_byte_identical(self, capsys, tmp_path,
                                                    monkeypatch):
         monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
@@ -277,15 +332,6 @@ class TestBenchAndReport:
         assert code == 2
         assert err == f"error: {manifest}:3: references needs a file name\n"
 
-    def test_unrecognised_bool_exits_2(self, capsys, tmp_path):
-        manifest = tmp_path / "bad.manifest"
-        manifest.write_text("instances = a.col\nmethods = hc\nhc_strict = treu\n")
-        code, _, err = run_cli(capsys, "bench", "--manifest", str(manifest),
-                               "--out", str(tmp_path / "r.csv"))
-        assert code == 2
-        assert f"{manifest}:3" in err
-        assert "treu" in err
-
     def test_override_solver_params_rejects_exits_2_naming_its_line(self, capsys,
                                                                     tmp_path):
         manifest = tmp_path / "bad.manifest"
@@ -314,6 +360,13 @@ class TestBenchAndReport:
     @pytest.mark.parametrize("row,message", [
         ("a,HC", ":3: expected 8 fields"),
         ("tri,HC,x,3,true,0.001,,", ":3: invalid literal for int() with base 10: 'x'"),
+        # counts are ASCII digits, as in a DIMACS file
+        ("tri,HC,1_0,3,true,0.001,,", ":3: invalid literal for int() with base 10: '1_0'"),
+        ("tri,HC, 1,3,true,0.001,,", ":3: invalid literal for int() with base 10: ' 1'"),
+        ("tri,HC,1,\uff13,true,0.001,,",
+         ":3: invalid literal for int() with base 10: '\uff13'"),
+        ("tri,HC,1,3,true,0.001,+4,-25.00",
+         ":3: invalid literal for int() with base 10: '+4'"),
         ("tri,HC,1,3,TRUE,0.001,,", ":3: proper must be true or false, got 'TRUE'"),
         ("x,hc,1,4,true,1,,", ":3: method must be one of ('HC', 'SA', 'TS', 'ILS'), "
                               "got 'hc'"),
@@ -339,7 +392,8 @@ class TestBenchAndReport:
                                                           row, message):
         results = tmp_path / "results.csv"
         results.write_text("instance,method,seed,k_colors,proper,wall_seconds,"
-                           f"best_known,diff_percent\ntri,HC,1,3,true,0.001,,\n{row}\n")
+                           f"best_known,diff_percent\ntri,HC,1,3,true,0.001,,\n{row}\n",
+                           encoding="utf-8")
         code, out, err = run_cli(capsys, "report", "--in", str(results))
         assert code == 2
         assert out == ""
@@ -359,6 +413,13 @@ class TestExact:
         code, out, _ = run_cli(capsys, "exact", str(DATA_DIR / "petersen.col"))
         assert code == 0
         assert out.strip() == "petersen: chromatic_number=3"
+
+    def test_empty_graph_has_chromatic_number_0(self, capsys, tmp_path):
+        empty = tmp_path / "empty.col"
+        empty.write_text("p edge 0 0\n")
+        code, out, _ = run_cli(capsys, "exact", str(empty))
+        assert code == 0
+        assert out == "empty: chromatic_number=0\n"
 
     def test_refuses_oversized_instance(self, capsys):
         code, _, err = run_cli(capsys, "exact", str(DATA_DIR / "toy20.col"))

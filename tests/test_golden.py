@@ -61,30 +61,6 @@ GOLDEN = {
 }
 
 
-# Paths the GOLDEN cases leave out: strict HC, geometric SA and random
-# initial colorings. (method, n, seed, extra overrides) -> as in GOLDEN.
-VARIANTS = {
-    ("HC", 30, 1, (("hc_strict", True),)): (8, ((3, 5001),),
-        "ba4bfe4f5ef461307d17bd6cf53860946f46fdad48b6ab74bf090dc124aaa6b5"),
-    ("HC", 30, 2, (("hc_strict", True),)): (8, ((2, 5001),),
-        "07af74bd78a5ea5f7a0e367f14846bd51d55997bedff0eddc866fb81df47228c"),
-    ("HC", 60, 1, (("hc_strict", True),)): (12, ((2, 5001),),
-        "aabe429d745a4f5618714904cd769c284df2952e6fe2c95eef7aa182005da284"),
-    ("SA", 30, 1, (("sa_geometric", True),)): (8, ((1, 10001),),
-        "ba4bfe4f5ef461307d17bd6cf53860946f46fdad48b6ab74bf090dc124aaa6b5"),
-    ("SA", 30, 2, (("sa_geometric", True),)): (7, ((0, 1345), (2, 10001)),
-        "a095439e0ff770ae6d4299b640edeac1bac441e0e16e7a7960a8b50ae8825eb7"),
-    ("SA", 60, 1, (("sa_geometric", True),)): (11, ((0, 1587), (4, 10001)),
-        "1edb0bcb4f45cd56f41864ca2b1a3ca9fd2ec1ab532a9d46e39e9aa03d4f43a7"),
-    ("HC", 30, 1, (("initializer", "random"),)): (7, ((0, 386), (2, 5001)),
-        "4d6088e4434c4abd9d94828061540ae7d0955ab5097525b8b67fc0d58c509a7b"),
-    ("TS", 30, 1, (("initializer", "random"),)): (7, ((0, 651), (2, 20001)),
-        "2fb2fcb37d314337e464ba855593a56691c84c26d2d16127ce3cb475b0ee9007"),
-    ("ILS", 30, 1, (("initializer", "random"),)): (7, ((0, 387), (2, 100003)),
-        "4d6088e4434c4abd9d94828061540ae7d0955ab5097525b8b67fc0d58c509a7b"),
-}
-
-
 # The same on sparse and dense graphs: (method, n, seed, p) -> as in GOLDEN,
 # plus the sha256 of repr of every level's best coloring, which pins the
 # trajectory of a failed level too (its final coloring is DSatur's on most of
@@ -145,14 +121,14 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def solve(method: str, n: int, seed: int, extra=(), p: float = 0.5):
+def solve(method: str, n: int, seed: int, p: float = 0.5):
     g = random_graph(n, p, seed)
-    params = SolverParams(method=method, **OVERRIDES[method], **dict(extra))
+    params = SolverParams(method=method, **OVERRIDES[method])
     return solve_k_reduction(g, params, seed)
 
 
-def level_summary(method: str, n: int, seed: int, extra=()):
-    coloring, k, trace = solve(method, n, seed, extra)
+def level_summary(method: str, n: int, seed: int):
+    coloring, k, trace = solve(method, n, seed)
     levels = tuple((o.conflicts, o.evaluations) for o in trace)
     return k, levels, digest(coloring)
 
@@ -161,13 +137,6 @@ def level_summary(method: str, n: int, seed: int, extra=()):
 def test_golden_trajectory(case, monkeypatch):
     monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
     assert level_summary(*case) == GOLDEN[case]
-
-
-@pytest.mark.parametrize("case", sorted(VARIANTS, key=repr),
-                         ids=lambda c: "-".join(map(str, c[:3] + c[3][0])))
-def test_golden_variant_trajectory(case, monkeypatch):
-    monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
-    assert level_summary(*case) == VARIANTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(DENSITY), ids=lambda c: "-".join(map(str, c)))

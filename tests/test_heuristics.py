@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,43 +7,11 @@ from hypothesis import strategies as st
 
 import chroma.heuristics as heuristics_module
 from chroma import (build_graph, chromatic_lower_bound, chromatic_number_exact,
-                    color_count, dsatur, is_proper, load_instance,
-                    random_coloring, random_graph)
+                    color_count, dsatur, is_proper, load_instance, random_graph)
 from chroma.heuristics import _clique_number
 
 from conftest import (dsjc_path, graphs, hub_graphs, max_degree,
                       random_bipartite_graph)
-
-
-class TestRandomColoring:
-    def test_single_color_forced(self, k3):
-        assert random_coloring(k3, 1, seed=9) == [0, 0, 0]
-
-    def test_deterministic_per_seed(self, k3):
-        assert random_coloring(k3, 3, seed=5) == random_coloring(k3, 3, seed=5)
-
-    def test_zero_palette_rejected(self, k3):
-        with pytest.raises(ValueError):
-            random_coloring(k3, 0, seed=1)
-
-    @given(st.integers(1, 6), st.integers(0, 2**64 - 1))
-    def test_colors_within_palette(self, k, seed):
-        g = build_graph(5, [(0, 1), (2, 3)])
-        assert all(0 <= c < k for c in random_coloring(g, k, seed))
-
-    def test_uniform_frequencies_within_five_sigma(self):
-        # 10^4 seeds x 100 vertices at k=10: per-color count is
-        # Binomial(10^6, 1/10), sigma = sqrt(n p (1-p)) = 300
-        g = random_graph(100, 0.1, seed=3)
-        k = 10
-        counts = [0] * k
-        for seed in range(10_000):
-            for c in random_coloring(g, k, seed):
-                counts[c] += 1
-        expected = 100 * 10_000 / k
-        sigma = math.sqrt(100 * 10_000 * (1 / k) * (1 - 1 / k))
-        for c, count in enumerate(counts):
-            assert abs(count - expected) < 5 * sigma, (c, count)
 
 
 class TestDsatur:
