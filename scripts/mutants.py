@@ -49,6 +49,11 @@ ASCII_NUMBERS = ("tests/test_dimacs.py::TestParse::test_numbers_are_ascii_digits
                  "tests/test_cli.py::TestSolve::"
                  "test_a_number_int_reads_but_dimacs_does_not_exits_2",
                  MANIFEST_ERRORS, REPORT_ROWS, INT_FLAGS)
+FLOAT_TEXT = ("tests/test_dimacs.py::TestParse::"
+              "test_a_float_with_underscores_non_ascii_or_spaces_is_refused",
+              "tests/test_cli.py::TestSolve::"
+              "test_a_float_flag_float_reads_but_chroma_does_not_exits_2",
+              MANIFEST_ERRORS, REPORT_ROWS)
 EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
                  "test_an_empty_graph_is_skipped_naming_its_file",
                  "tests/test_cli.py::TestBenchAndReport::"
@@ -211,6 +216,30 @@ MUTANTS = [
            (REPORT_ROWS,)),
     Mutant("cli: int flags read by int() alone", CLI,
            'command.register("type", int, _integer)', "pass", (INT_FLAGS,)),
+    Mutant("run_cell: params rebuilt per cell", BENCH,
+           "    clock = make_clock()\n",
+           "    params = SolverParams(**asdict(params))\n    clock = make_clock()\n",
+           ("tests/test_bench.py::TestRunBenchmark::"
+            "test_the_cells_share_the_run_s_params_unchecked",)),
+    Mutant("solve_k_reduction: unknown method runs HC", SEARCH,
+           "    if method not in METHODS:\n"
+           "        raise ValueError(f\"method must be one of {METHODS}, got {method!r}\")\n"
+           "    run = _METHOD_FUNCS[method]\n",
+           "    run = _METHOD_FUNCS.get(method, hill_climbing)\n",
+           ("tests/test_search.py::TestSolveKReduction::"
+            "test_unknown_method_rejected_before_the_graph_is_read",)),
+    Mutant("_climb: the temperature one move late", SEARCH,
+           "            t = t_initial - i * decrement\n",
+           "            t = t_initial - (i - 1) * decrement\n",
+           ("tests/test_search.py::TestSimulatedAnnealing::"
+            "test_a_worsening_move_draws_a_random_number_only_while_t_is_positive",)),
+    Mutant("_number: floats read by float() alone", DIMACS,
+           "if not token.isascii() or \"_\" in token or token != token.strip():",
+           "if False:", FLOAT_TEXT),
+    Mutant("cli: float flags read by float() alone", CLI,
+           'command.register("type", float, _number)', "pass",
+           ("tests/test_cli.py::TestSolve::"
+            "test_a_float_flag_float_reads_but_chroma_does_not_exits_2",)),
     Mutant("build_graph: duplicate neighbors kept", GRAPH,
            "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
            ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",

@@ -26,6 +26,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
+    params = SolverParams(wall_budget_seconds=args.budget)
     hits: Counter[str] = Counter()
     gaps: Counter[str] = Counter()
     for i in range(args.graphs):
@@ -33,8 +34,7 @@ def main() -> int:
         chi, _ = chromatic_number_exact(g)
         marks = []
         for method in METHODS:
-            params = SolverParams(method=method, wall_budget_seconds=args.budget)
-            coloring, k, _ = solve_k_reduction(g, params, seed=1)
+            coloring, k, _ = solve_k_reduction(g, method, params, seed=1)
             assert is_proper(g, coloring)
             if k == chi:
                 hits[method] += 1

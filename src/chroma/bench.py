@@ -13,13 +13,13 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, Optional
 
 from .clock import make_clock
-from .dimacs import (InstanceRecord, _integer, load_instance,
+from .dimacs import (InstanceRecord, _integer, _number, load_instance,
                      read_reference_table, read_utf8)
 from .graph import is_proper
 from .search import (METHODS, PARAM_TYPES, SolverParams, dsatur_start,
@@ -103,9 +103,9 @@ def read_results_csv(stream: IO[str]) -> list[RunResult]:
                 seed=_integer(rec["seed"]),
                 k_colors=_integer(rec["k_colors"]),
                 proper=True,
-                wall_seconds=float(rec["wall_seconds"]),
+                wall_seconds=_number(rec["wall_seconds"]),
                 best_known=_integer(rec["best_known"]) if rec["best_known"] else None,
-                diff_percent=float(rec["diff_percent"]) if rec["diff_percent"] else None,
+                diff_percent=_number(rec["diff_percent"]) if rec["diff_percent"] else None,
             )
             for key in ("k_colors", "best_known"):
                 count = getattr(row, key)
@@ -138,10 +138,10 @@ class BenchManifest:
 
 
 # SolverParams fields a manifest key or a `chroma solve` flag of the same name
-# sets, with their declared types; method and wall_budget_seconds have keys and
-# flags of their own (methods/--method, budget/--budget).
+# sets, with their declared types; wall_budget_seconds has a key and a flag of
+# its own (budget/--budget).
 PARAM_OVERRIDES = {name: kind for name, kind in PARAM_TYPES.items()
-                   if name not in ("method", "wall_budget_seconds")}
+                   if name != "wall_budget_seconds"}
 
 
 def _parse_int(where: str, key: str, text: str) -> int:
@@ -153,7 +153,7 @@ def _parse_int(where: str, key: str, text: str) -> int:
 
 def _parse_float(where: str, key: str, text: str) -> float:
     try:
-        value = float(text)
+        value = _number(text)
     except ValueError:
         raise ValueError(f"{where}: {key} must be a number, got {text!r}") from None
     if not math.isfinite(value):
@@ -172,7 +172,8 @@ def parse_manifest(path: str | Path) -> BenchManifest:
     solver parameter name (hc_iterations, sa_decrement, ...). Results name
     an instance by its file stem, so no two instances may share one. Seeds
     and int parameters are ASCII digits with an optional minus sign, as in a
-    DIMACS file. The solver parameters are checked together as SolverParams;
+    DIMACS file; the budget and float parameters are ASCII text without `_`
+    that float() reads. The solver parameters are checked together as SolverParams;
     an error names the line of the last override it mentions.
     """
     path = Path(path)
@@ -254,14 +255,14 @@ def run_cell(record: InstanceRecord, method: str, seed: int,
              params: SolverParams) -> RunResult:
     """Execute one cell, timing the search only, and verify its witness.
 
+    Every cell of a run shares one `params`, neither copied nor re-checked.
     The graph's DSatur start is filled before the timer starts, so
     wall_seconds never includes it, whichever cell on the graph runs first.
     """
-    params = replace(params, method=method)
     clock = make_clock()
     dsatur_start(record.graph)
     t0 = clock.now()
-    coloring, k, _trace = solve_k_reduction(record.graph, params, seed, clock=clock)
+    coloring, k, _trace = solve_k_reduction(record.graph, method, params, seed, clock=clock)
     wall = clock.now() - t0
     if not is_proper(record.graph, coloring):
         raise InternalInvariantError(

@@ -18,8 +18,8 @@ from typing import Optional
 from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
                     parse_manifest, prepare_instance, read_results_csv,
                     run_benchmark, run_cell)
-from .dimacs import (DimacsError, _integer, load_instance, read_reference_table,
-                     read_utf8)
+from .dimacs import (DimacsError, _integer, _number, load_instance,
+                     read_reference_table, read_utf8)
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
 from .search import METHODS, SolverParams
 
@@ -65,14 +65,16 @@ def _build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--limit", type=int, default=EXACT_VERTEX_LIMIT)
 
     # type=int reads ASCII digits with an optional minus sign, as a DIMACS
-    # number is read; argparse still calls the type int in its errors
+    # number is read, and type=float ASCII text without `_` or surrounding
+    # whitespace; argparse still calls the types int and float in its errors
     for command in sub.choices.values():
         command.register("type", int, _integer)
+        command.register("type", float, _number)
     return parser
 
 
 def _params_from_args(args: argparse.Namespace) -> SolverParams:
-    overrides = {"method": args.method.upper(), "wall_budget_seconds": args.budget}
+    overrides = {"wall_budget_seconds": args.budget}
     for name in PARAM_OVERRIDES:
         value = getattr(args, name)
         if value is not None:
@@ -104,7 +106,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         error_path.write_text("".join(e + "\n" for e in errors))
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
-        print(f"{len(errors)} cell(s) skipped; details in {error_path}", file=sys.stderr)
+        cells = len(errors) * len(manifest.methods) * len(manifest.seeds)
+        print(f"{len(errors)} instance(s) skipped ({cells} cell(s) not run); "
+              f"details in {error_path}", file=sys.stderr)
     return 0
 
 

@@ -172,6 +172,15 @@ def _integer(token: str) -> int:
     return int(token)
 
 
+def _number(token: str) -> float:
+    """float(token) for ASCII text without `_` or surrounding whitespace,
+    which float() would also take; any other token raises ValueError in
+    float()'s own words, as `_integer` does in int()'s."""
+    if not token.isascii() or "_" in token or token != token.strip():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def _parsed(vertex_count: int, edges: list[tuple[int, int]], declared: int,
             warnings: list[str]) -> ParsedDimacs:
     if len(edges) != declared:

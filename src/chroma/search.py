@@ -52,16 +52,15 @@ METHODS = ("HC", "SA", "TS", "ILS")
 AcceptHook = Callable[[int, int, float], None]  # (iteration, conflicts, elapsed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Per-method search parameters; defaults follow the benchmark setup.
 
-    The fields are the one parameter schema: each is checked by its declared
-    type (PARAM_TYPES), and the `solve` flags and manifest keys are built
-    from them.
+    The fields are the one parameter schema: numbers, each checked by its
+    declared type (PARAM_TYPES), from which the `solve` flags and manifest
+    keys are built. The method is the cell's, so one frozen object serves a run.
     """
 
-    method: str = "HC"
     hc_iterations: int = 5000
     sa_iterations: int = 10000
     sa_decrement: float = 0.005
@@ -73,8 +72,6 @@ class SolverParams:
     wall_budget_seconds: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name, kind in PARAM_TYPES.items():
             value = getattr(self, name)
             # bool is an int subclass; a NaN count never ends a loop (i >= nan is false)
@@ -88,7 +85,7 @@ class SolverParams:
             raise ValueError("ils_inner_seconds cannot exceed ils_total_seconds")
 
 
-# Field name -> declared type: str for method, int or float for the rest.
+# Field name -> declared type: int or float.
 PARAM_TYPES: dict[str, type] = typing.get_type_hints(SolverParams)
 
 
@@ -208,16 +205,16 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
 
 def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
            t_origin: float, iterations: int = sys.maxsize, stop_at: float = math.inf,
-           schedule: Optional[Callable[[int], float]] = None,
+           t_initial: float = 0.0, decrement: float = 0.0,
            on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
     """The tweak/accept loop of hill climbing, simulated annealing and the
     ILS inner search.
 
     Move i (counted from 1) of cost d is accepted when d <= 0: a plateau move
-    is taken too. A worsening move is rejected without a schedule; with one
-    it is accepted with probability exp(-d / t) at t = schedule(i), never at
-    t <= 0. rng.random() is drawn only in that last, probabilistic case, so
-    at zero temperature the move stream is that of plateau hill climbing.
+    is taken too. A worsening one is accepted with probability exp(-d / t) at
+    t = t_initial - i * decrement, never at t <= 0 (so never by default).
+    rng.random() is drawn only in that last, probabilistic case, so at zero
+    temperature the move stream is that of plateau hill climbing.
     Stops at a zero-conflict state, after `iterations` moves or at `stop_at`;
     returns (best coloring, its conflicts, evaluations performed). Each move
     makes one clock call: `tick` counts its evaluation and returns the time
@@ -261,7 +258,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
         d = (masks[v] & classes[new]).bit_count() - own[v]
         now = tick()
         if d > 0:
-            t = schedule(i) if schedule is not None else 0.0
+            t = t_initial - i * decrement
             if not (t > 0.0 and rng.random() < math.exp(-d / t)):
                 continue
         apply(v, new)
@@ -298,12 +295,11 @@ def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverPar
     final iteration.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
-    t_initial = params.sa_iterations * params.sa_decrement
-    schedule = lambda i: t_initial - i * params.sa_decrement
     best, best_conf, evals = _climb(
         k, state, rng=rng, clock=clock, t_origin=t0,
         iterations=params.sa_iterations, stop_at=deadline,
-        schedule=schedule, on_accept=on_accept,
+        t_initial=params.sa_iterations * params.sa_decrement,
+        decrement=params.sa_decrement, on_accept=on_accept,
     )
     return SearchOutcome(best, best_conf, evals + 1, clock.now() - t0)
 
@@ -494,9 +490,9 @@ def dsatur_start(g: Graph) -> tuple[tuple[int, ...], int, int]:
     return start
 
 
-def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
+def solve_k_reduction(g: Graph, method: str, params: SolverParams, seed: int,
                       *, clock: Optional[Clock] = None) -> tuple[Coloring, int, list[SearchOutcome]]:
-    """Drive the configured method through decreasing palette sizes.
+    """Drive `method`, one of METHODS, through decreasing palette sizes.
 
     Starts from DSatur's proper coloring and its color count k, then attempts
     k-1, k-2, ... from the incumbent witness projected down one level each
@@ -510,12 +506,15 @@ def solve_k_reduction(g: Graph, params: SolverParams, seed: int,
 
     DSatur's coloring, k and the bound come from `dsatur_start`, computed at
     the first solve of `g` and reused by every later one. It is read before
-    the clock, so the wall budget never pays for it.
+    the clock, so the wall budget never pays for it. An unknown method is
+    refused first.
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    run = _METHOD_FUNCS[method]
     start_coloring, k, bound = dsatur_start(g)
     best = list(start_coloring)
     clock = clock if clock is not None else make_clock()
-    run = _METHOD_FUNCS[params.method]
     deadline = clock.now() + params.wall_budget_seconds
     trace: list[SearchOutcome] = []
     master: Optional[random.Random] = None

@@ -186,7 +186,7 @@ def reference_climb(g):
     costed by recounting the moved coloring. Only the state's colors are
     read, and the state is left as it was."""
     def climb(k, state, *, rng, clock, t_origin, iterations=sys.maxsize, stop_at=math.inf,
-              schedule=None, on_accept=None):
+              t_initial=0.0, decrement=0.0, on_accept=None):
         colors = list(state.colors)
         conf = conflict_count(g, colors)
         best, best_conf = list(colors), conf
@@ -199,7 +199,7 @@ def reference_climb(g):
             d = moved_conf - conf
             clock.tick()
             if d > 0:
-                t = schedule(i) if schedule is not None else 0.0
+                t = t_initial - i * decrement
                 accept = t > 0.0 and rng.random() < math.exp(-d / t)
             else:
                 accept = True

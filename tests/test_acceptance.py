@@ -42,17 +42,16 @@ def test_criterion_1_properness_invariant():
         rng = random.Random(20260808)
         densities = (0.1, 0.5, 0.9)
         runs = 0
+        params = SolverParams(
+            wall_budget_seconds=2.0,
+            ils_inner_seconds=0.05,
+            ils_total_seconds=0.2,
+        )
         for i in range(17):  # 17 graphs x 4 methods x 3 seeds = 204 runs
             g = random_graph(rng.randint(5, 60), densities[i % 3], seed=rng.getrandbits(32))
             for method in METHODS:
-                params = SolverParams(
-                    method=method,
-                    wall_budget_seconds=2.0,
-                    ils_inner_seconds=0.05,
-                    ils_total_seconds=0.2,
-                )
                 for seed in (1, 2, 3):
-                    coloring, k, _ = solve_k_reduction(g, params, seed)
+                    coloring, k, _ = solve_k_reduction(g, method, params, seed)
                     assert is_proper(g, coloring), (
                         f"improper coloring: n={g.vertex_count} "
                         f"method={method} seed={seed}"
@@ -69,12 +68,12 @@ def test_criterion_2_oracle_equivalence_at_desk_scale():
         hits = 0
         cells = 0
         misses = []
+        params = SolverParams(wall_budget_seconds=10.0)
         for i in range(30):
             g = random_graph(9, 0.5, seed=5000 + i)
             chi, _ = chromatic_number_exact(g)
             for method in METHODS:
-                params = SolverParams(method=method, wall_budget_seconds=10.0)
-                coloring, k, _ = solve_k_reduction(g, params, seed=1)
+                coloring, k, _ = solve_k_reduction(g, method, params, seed=1)
                 assert is_proper(g, coloring)
                 assert k >= chi, "no heuristic can beat the exact optimum"
                 cells += 1
@@ -127,11 +126,11 @@ def test_criterion_5_dsjc125_1_smoke():
         record = load_instance(dsjc_path("DSJC125.1"))
         g = record.graph
         assert (g.vertex_count, g.edge_count) == (125, 736)
+        params = SolverParams(wall_budget_seconds=600.0)
         for method in ("SA", "TS"):
-            params = SolverParams(method=method, wall_budget_seconds=600.0)
             best_k = None
             for seed in (1, 2, 3):
-                coloring, k, _ = solve_k_reduction(g, params, seed)
+                coloring, k, _ = solve_k_reduction(g, method, params, seed)
                 assert is_proper(g, coloring)
                 best_k = k if best_k is None else min(best_k, k)
             assert best_k <= 7, f"{method} reached only {best_k} colors"
@@ -173,8 +172,8 @@ def test_criterion_7_fifo_memory_invariants():
                 assert tuple(tabu) == tuple(pushed[-tabu_length:])
 
             g = random_graph(20, 0.5, seed=rng.getrandbits(32))
-            params = SolverParams(method="TS", ts_iterations=2000,
-                                  ts_tabu_length=tabu_length, ts_num_tweaks=3)
+            params = SolverParams(ts_iterations=2000, ts_tabu_length=tabu_length,
+                                  ts_num_tweaks=3)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(search, "deque", recording_deque(check))
                 tabu_search(g, 2, [0] * g.vertex_count, params,

@@ -113,6 +113,13 @@ class TestManifest:
          r"bad\.manifest:3: ts_num_tweaks must be an integer, got '\u0663'"),
         ("instances = a.col\nmethods = hc\nbudget = soon\n",
          r"bad\.manifest:3: budget must be a number, got 'soon'"),
+        # floats are ASCII text without `_` that float() reads
+        ("instances = a.col\nmethods = hc\nbudget = \uff15\n",
+         r"bad\.manifest:3: budget must be a number, got '\uff15'"),
+        ("instances = a.col\nmethods = hc\nsa_decrement = 0_5\n",
+         r"bad\.manifest:3: sa_decrement must be a number, got '0_5'"),
+        ("instances = a.col\nmethods = hc\nils_inner_seconds = 1_0\n",
+         r"bad\.manifest:3: ils_inner_seconds must be a number, got '1_0'"),
         ("instances = a.col\nmethods = hc\nreferences =  # none\n",
          r"bad\.manifest:3: references needs a file name"),
         ("instances = a/x.col, y.col\nmethods = hc\ninstances = b/x.col\n",
@@ -144,15 +151,15 @@ class TestManifest:
         # the manifest keys are read from the SolverParams schema: each field's
         # default, written as `name = <default>`, must parse to that default
         defaults = SolverParams()
-        lines = ["instances = a.col", f"methods = {defaults.method}",
+        lines = ["instances = a.col", "methods = hc",
                  f"budget = {defaults.wall_budget_seconds}"]
         lines += [f"{name} = {getattr(defaults, name)}" for name in PARAM_OVERRIDES]
         path = tmp_path / "defaults.manifest"
         path.write_text("\n".join(lines) + "\n")
         m = parse_manifest(path)
-        assert set(PARAM_OVERRIDES) | {"method", "wall_budget_seconds"} == {
+        assert set(PARAM_OVERRIDES) | {"wall_budget_seconds"} == {
             f.name for f in fields(SolverParams)}
-        assert m.methods == [defaults.method]
+        assert m.methods == ["HC"]
         assert m.params == defaults
 
     def test_every_key_reaches_params(self, tmp_path):
@@ -278,6 +285,19 @@ class TestRunBenchmark:
             ("tri", "HC", 1), ("tri", "HC", 2), ("tri", "TS", 1), ("tri", "TS", 2)]
         assert errors == [f"{empty}: cannot color an empty graph"]
 
+    def test_the_cells_share_the_run_s_params_unchecked(self, small_manifest, monkeypatch):
+        # 2 instances x 4 methods x 2 seeds: SolverParams was built and checked
+        # with the manifest, so no cell builds or checks one again
+        monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+        small_manifest.methods = ["HC", "SA", "TS", "ILS"]
+        checks = []
+        real = SolverParams.__post_init__
+        monkeypatch.setattr(SolverParams, "__post_init__",
+                            lambda self: checks.append(self) or real(self))
+        rows, errors = run_benchmark(small_manifest, jobs=1)
+        assert (len(rows), errors) == (16, [])
+        assert checks == []
+
     def test_writes_csv_when_given_stream(self, small_manifest):
         out = io.StringIO()
         rows, _ = run_benchmark(small_manifest, out)
@@ -289,7 +309,7 @@ class TestRunBenchmark:
         inst = _write_instance(tmp_path, "tri", 3, [(0, 1), (1, 2), (0, 2)])
         record = load_instance(inst)
         monkeypatch.setattr("chroma.bench.solve_k_reduction",
-                            lambda g, p, s, clock: ([0, 0, 0], 3, []))
+                            lambda g, m, p, s, clock: ([0, 0, 0], 3, []))
         with pytest.raises(InternalInvariantError):
             run_cell(record, "HC", 1, SolverParams())
 

@@ -43,14 +43,14 @@ class TestSolve:
         assert "k=" in out
 
     def test_flags_are_the_solver_params_schema(self):
-        # one --name-with-dashes per SolverParams field, except method and
-        # wall_budget_seconds, which are --method and --budget
+        # one --name-with-dashes per SolverParams field, except
+        # wall_budget_seconds, which is --budget
         sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         flags = {opt for action in sub.choices["solve"]._actions
                  for opt in action.option_strings} - {"-h", "--help"}
         expected = {"--" + f.name.replace("_", "-") for f in fields(SolverParams)
-                    if f.name not in ("method", "wall_budget_seconds")}
+                    if f.name != "wall_budget_seconds"}
         assert flags == expected | {"--method", "--seed", "--budget", "--references"}
 
     def test_flags_set_their_fields_and_leave_the_rest_default(self):
@@ -58,7 +58,7 @@ class TestSolve:
             ["solve", "x.col", "--method", "sa", "--budget", "9", "--hc-iterations", "40",
              "--ts-tabu-length", "7", "--sa-decrement", "0.5", "--ils-inner-seconds", "2.5"])
         assert _params_from_args(args) == SolverParams(
-            method="SA", wall_budget_seconds=9.0, hc_iterations=40, ts_tabu_length=7,
+            wall_budget_seconds=9.0, hc_iterations=40, ts_tabu_length=7,
             sa_decrement=0.5, ils_inner_seconds=2.5)
         args = _build_parser().parse_args(["solve", "x.col", "--method", "hc"])
         assert _params_from_args(args) == SolverParams()
@@ -114,6 +114,26 @@ class TestSolve:
         assert f"argument {argv[-2]}: invalid " in err
         assert f" value: {argv[-1]!r}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "tri.col", "--method", "hc", "--budget", "\uff15"],
+        ["solve", "tri.col", "--method", "hc", "--budget", " 5"],
+        ["solve", "tri.col", "--method", "sa", "--sa-decrement", "0_5"],
+        ["solve", "tri.col", "--method", "ils", "--ils-inner-seconds", "1_0"],
+    ])
+    def test_a_float_flag_float_reads_but_chroma_does_not_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: invalid float value: {argv[-1]!r}" in err
+
+    def test_a_float_flag_reads_every_ascii_form_of_float(self):
+        args = _build_parser().parse_args(
+            ["solve", "x.col", "--method", "sa", "--budget", "1e3", "--sa-decrement", ".5",
+             "--ils-inner-seconds", "+5", "--ils-total-seconds", "inf"])
+        assert (args.budget, args.sa_decrement, args.ils_inner_seconds,
+                args.ils_total_seconds) == (1000.0, 0.5, 5.0, float("inf"))
+
     def test_an_int_flag_reads_ascii_digits_and_a_minus_sign(self):
         args = _build_parser().parse_args(
             ["solve", "x.col", "--method", "hc", "--seed", "-3", "--hc-iterations", "007"])
@@ -155,7 +175,7 @@ class TestSolve:
 
     def test_improper_result_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("chroma.bench.solve_k_reduction",
-                            lambda g, p, s, clock: ([0, 0, 0], 3, []))
+                            lambda g, m, p, s, clock: ([0, 0, 0], 3, []))
         code, _, err = run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"),
                                "--method", "hc")
         assert code == 1
@@ -233,16 +253,18 @@ class TestBenchAndReport:
         empty = tmp_path / "empty.col"
         empty.write_text("p edge 0 0\n")
         manifest = tmp_path / "run.manifest"
-        manifest.write_text(f"instances = {tri}, {empty}\nmethods = hc\nseeds = 1\n")
+        manifest.write_text(f"instances = {tri}, {empty}\nmethods = hc, ts\nseeds = 1, 2\n")
         out_csv = tmp_path / "results.csv"
         code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
                                  "--out", str(out_csv), "--jobs", "1")
         assert code == 0
-        assert "wrote 1 results" in out
+        assert "wrote 4 results" in out
         assert out_csv.read_text().splitlines()[1].startswith("tri,HC,1,3,true,")
         assert (tmp_path / "results.csv.errors.txt").read_text() == (
             f"{empty}: cannot color an empty graph\n")
-        assert f"error: {empty}: cannot color an empty graph" in err
+        assert err.splitlines() == [
+            f"error: {empty}: cannot color an empty graph",
+            f"1 instance(s) skipped (4 cell(s) not run); details in {out_csv}.errors.txt"]
 
     def test_a_retired_knob_exits_2(self, capsys, tmp_path):
         # hc_strict, sa_geometric, initializer, ils_perturbation and
@@ -387,6 +409,14 @@ class TestBenchAndReport:
         ("tri,HC,1,3,true,inf,,", ":3: wall_seconds must be finite and >= 0, got 'inf'"),
         ("tri,HC,1,3,true,-0.001,,", ":3: wall_seconds must be finite and >= 0, "
                                      "got '-0.001'"),
+        # floats are ASCII text without `_` or surrounding whitespace
+        ("tri,HC,1,3,true,1_0,,", ":3: could not convert string to float: '1_0'"),
+        ("tri,HC,1,3,true, 5,,", ":3: could not convert string to float: ' 5'"),
+        ("tri,HC,1,3,true,\uff15,,", ":3: could not convert string to float: '\uff15'"),
+        ("tri,HC,1,3,true,0.001,4,-2_5.00",
+         ":3: could not convert string to float: '-2_5.00'"),
+        ("tri,HC,1,3,true,0.001,4,-\uff12\uff15.00",
+         ":3: could not convert string to float: '-\uff12\uff15.00'"),
     ])
     def test_report_malformed_row_exits_2_naming_its_line(self, capsys, tmp_path,
                                                           row, message):

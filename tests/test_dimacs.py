@@ -109,6 +109,13 @@ class TestParse:
             parse_dimacs(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text", ["1_0", "0_5", "\uff15", "\u0665.0", " 5", "5 ",
+                                      "\t5", "5\n", "", "five"])
+    def test_a_float_with_underscores_non_ascii_or_spaces_is_refused(self, text):
+        with pytest.raises(ValueError) as info:
+            dimacs._number(text)
+        assert str(info.value) == f"could not convert string to float: {text!r}"
+
     def test_edge_count_mismatch_is_warning_not_error(self):
         parsed = parse_dimacs("p edge 3 5\ne 1 2\ne 2 3\n")
         assert parsed.edges == [(0, 1), (1, 2)]

@@ -123,8 +123,8 @@ def digest(value) -> str:
 
 def solve(method: str, n: int, seed: int, p: float = 0.5):
     g = random_graph(n, p, seed)
-    params = SolverParams(method=method, **OVERRIDES[method])
-    return solve_k_reduction(g, params, seed)
+    params = SolverParams(**OVERRIDES[method])
+    return solve_k_reduction(g, method, params, seed)
 
 
 def level_summary(method: str, n: int, seed: int):
@@ -189,7 +189,7 @@ def test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to(g, k, seed):
         visited.append(list(state.colors))
 
     init = [0] * g.vertex_count
-    params = SolverParams(method="TS", ts_iterations=30, ts_tabu_length=5)
+    params = SolverParams(ts_iterations=30, ts_tabu_length=5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "deque", recording_deque(lambda tabu, fp: pushed.append(fp)))
         mp.setattr(search._ConflictState, "apply", spy_apply)

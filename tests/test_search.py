@@ -1,7 +1,7 @@
 import pickle
 import random
 from collections import deque
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,14 +27,22 @@ class TestSolverParams:
     def test_defaults_are_the_published_configuration(self):
         # every field, so a knob added beside the published settings shows here
         assert asdict(params()) == {
-            "method": "HC", "hc_iterations": 5000, "sa_iterations": 10000,
+            "hc_iterations": 5000, "sa_iterations": 10000,
             "sa_decrement": 0.005, "ts_iterations": 10, "ts_tabu_length": 20,
             "ts_num_tweaks": 10, "ils_inner_seconds": 10.0,
             "ils_total_seconds": 100.0, "wall_budget_seconds": 600.0,
         }
 
+    def test_every_field_is_a_number(self):
+        assert set(search_module.PARAM_TYPES.values()) == {int, float}
+
+    def test_frozen(self):
+        p = params()
+        with pytest.raises(FrozenInstanceError):
+            p.hc_iterations = 1
+        assert p == params()
+
     @pytest.mark.parametrize("bad", [
-        {"method": "GA"},
         {"hc_iterations": 0},
         {"ts_tabu_length": 0},
         {"sa_decrement": 0.0},
@@ -265,7 +273,7 @@ class TestMoveKernel:
     @settings(deadline=None)
     @given(search_cases())
     def test_simulated_annealing(self, case):
-        # from 2.0, hot enough to accept worsening moves; the schedule then
+        # from 2.0, hot enough to accept worsening moves; the temperature then
         # reaches zero on the last move
         self.assert_climb_matches(simulated_annealing, case,
                                   params(sa_iterations=300, sa_decrement=2 / 300))
@@ -425,7 +433,24 @@ class TestSimulatedAnnealing:
                 iterations=5000, on_accept=lambda *event: events.append(event), **kwargs)
             return result, events
 
-        assert climb(schedule=lambda i: 0.0) == climb()
+        # 1.0 - i * 1.0 is zero from move 1 on
+        assert climb(t_initial=1.0, decrement=1.0) == climb()
+
+    def test_a_worsening_move_draws_a_random_number_only_while_t_is_positive(self):
+        # every move of vertex 0 or 1, the conflicted pair, gains a conflict,
+        # and at these temperatures none is accepted, so the state never
+        # changes; t = (3 - i) * 2**-60 is exact and positive at moves 1 and 2
+        g = build_graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                             (1, 6), (1, 7), (1, 8), (1, 9)])
+        state = search_module._ConflictState(g, 3, [0, 0, 1, 1, 2, 2, 1, 1, 2, 2])
+        rng = random.Random(21)
+        draws = []
+        real_random = rng.random
+        rng.random = lambda: draws.append(1) or real_random()
+        _, conflicts, moves = search_module._climb(
+            3, state, rng=rng, clock=VirtualClock(), t_origin=0.0, iterations=6,
+            t_initial=3 * 2.0 ** -60, decrement=2.0 ** -60)
+        assert (conflicts, moves, len(draws)) == (1, 6, 2)
 
     def test_tiny_positive_temperature_never_accepts_worse(self):
         g = random_graph(15, 0.5, seed=8)
@@ -606,7 +631,7 @@ class TestSolveKReduction:
         # DSatur's 4 colors equal the clique bound, so no level is attempted
         for method in ("HC", "SA", "TS"):
             coloring, k, trace = solve_k_reduction(
-                k4, params(method=method, wall_budget_seconds=5.0), seed=1)
+                k4, method, params(wall_budget_seconds=5.0), seed=1)
             assert k == 4
             assert is_proper(k4, coloring)
             assert trace == []
@@ -627,12 +652,12 @@ class TestSolveKReduction:
             bound = chromatic_lower_bound(g, color_count(dsatur(g)))
             assert bound == chi, i
             for method in METHODS:
-                p = params(method=method, wall_budget_seconds=10.0)
-                new_coloring, new_k, new_trace = solve_k_reduction(g, p, seed=1)
+                p = params(wall_budget_seconds=10.0)
+                new_coloring, new_k, new_trace = solve_k_reduction(g, method, p, seed=1)
                 with monkeypatch.context() as m:
                     m.setattr(search_module, "chromatic_lower_bound", lambda g, k: 2)
                     fresh = Graph(g.vertex_count, g.edge_count, g.adjacency)
-                    old_coloring, old_k, old_trace = solve_k_reduction(fresh, p, seed=1)
+                    old_coloring, old_k, old_trace = solve_k_reduction(fresh, method, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
                 dropped = old_trace[len(new_trace):]
@@ -646,7 +671,7 @@ class TestSolveKReduction:
 
     def test_five_cycle_reaches_three(self, c5):
         coloring, k, trace = solve_k_reduction(
-            c5, params(method="HC", wall_budget_seconds=5.0), seed=1)
+            c5, "HC", params(wall_budget_seconds=5.0), seed=1)
         assert k == 3
         assert is_proper(c5, coloring)
         assert trace == []  # DSatur's 3 colors equal the bound; no level runs
@@ -657,29 +682,39 @@ class TestSolveKReduction:
         real = random.Random
         monkeypatch.setattr(search_module.random, "Random",
                             lambda seed: built.append(seed) or real(seed))
-        assert solve_k_reduction(k4, params(), seed=3)[2] == []
+        assert solve_k_reduction(k4, "HC", params(), seed=3)[2] == []
         assert built == []
-        assert len(solve_k_reduction(g, params(), seed=3)[2]) == 1
+        assert len(solve_k_reduction(g, "HC", params(), seed=3)[2]) == 1
         assert built[0] == 3
 
     def test_achieved_palette_shrinks_by_one_per_success(self):
         g = random_graph(18, 0.4, seed=3)
         k0 = color_count(dsatur(g))
         coloring, k, trace = solve_k_reduction(
-            g, params(method="SA", wall_budget_seconds=10.0), seed=1)
+            g, "SA", params(wall_budget_seconds=10.0), seed=1)
         successes = sum(1 for t in trace if t.conflicts == 0)
         assert k == k0 - successes
         assert all(t.conflicts == 0 for t in trace[:-1])
         assert max(coloring) < k
         assert is_proper(g, coloring)
 
+    @pytest.mark.parametrize("method", ["XX", "GA", "hc", None])
+    def test_unknown_method_rejected_before_the_graph_is_read(self, method, start_calls):
+        # an empty graph would raise its own error, were it read first
+        with pytest.raises(ValueError, match=r"^method must be one of \('HC', 'SA', "
+                                             r"'TS', 'ILS'\), got "):
+            solve_k_reduction(build_graph(0, []), method, params(), seed=1)
+        with pytest.raises(ValueError, match="method must be one of"):
+            solve_k_reduction(random_graph(8, 0.5, seed=1), method, params(), 1)
+        assert start_calls == []
+
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            solve_k_reduction(build_graph(0, []), params(), seed=1)
+            solve_k_reduction(build_graph(0, []), "HC", params(), seed=1)
 
     def test_edgeless_graph_stays_at_one_color(self):
         g = build_graph(5, [])
-        coloring, k, trace = solve_k_reduction(g, params(), seed=1)
+        coloring, k, trace = solve_k_reduction(g, "HC", params(), seed=1)
         assert k == 1
         assert coloring == [0] * 5
         assert trace == []
@@ -688,16 +723,16 @@ class TestSolveKReduction:
         g = random_graph(40, 0.5, seed=9)
         clock = VirtualClock()
         coloring, k, trace = solve_k_reduction(
-            g, params(method="HC", wall_budget_seconds=1e-9), seed=1, clock=clock)
+            g, "HC", params(wall_budget_seconds=1e-9), seed=1, clock=clock)
         assert k == color_count(dsatur(g))
         assert is_proper(g, coloring)
 
     def test_deterministic_per_method(self):
         g = random_graph(16, 0.5, seed=14)
+        p = params(wall_budget_seconds=10.0)
         for method in ("HC", "SA", "TS"):
-            p = params(method=method, wall_budget_seconds=10.0)
-            a = solve_k_reduction(g, p, seed=4)
-            b = solve_k_reduction(g, p, seed=4)
+            a = solve_k_reduction(g, method, p, seed=4)
+            b = solve_k_reduction(g, method, p, seed=4)
             assert a[0] == b[0]
             assert a[1] == b[1]
             assert [(t.conflicts, t.evaluations) for t in a[2]] == \
@@ -705,18 +740,16 @@ class TestSolveKReduction:
 
     def test_ils_deterministic_under_virtual_clock(self):
         g = random_graph(16, 0.5, seed=14)
-        p = params(method="ILS", wall_budget_seconds=2.0,
-                   ils_inner_seconds=0.05, ils_total_seconds=0.2)
-        a = solve_k_reduction(g, p, seed=4, clock=VirtualClock())
-        b = solve_k_reduction(g, p, seed=4, clock=VirtualClock())
+        p = params(wall_budget_seconds=2.0, ils_inner_seconds=0.05, ils_total_seconds=0.2)
+        a = solve_k_reduction(g, "ILS", p, seed=4, clock=VirtualClock())
+        b = solve_k_reduction(g, "ILS", p, seed=4, clock=VirtualClock())
         assert a[0] == b[0] and a[1] == b[1]
 
     @given(graphs(min_n=1, max_n=14), st.sampled_from(["HC", "SA", "TS"]))
     @settings(deadline=None, max_examples=25)
     def test_every_witness_is_proper(self, g, method):
-        p = params(method=method, hc_iterations=300, sa_iterations=300,
-                   wall_budget_seconds=5.0)
-        coloring, k, _ = solve_k_reduction(g, p, seed=1)
+        p = params(hc_iterations=300, sa_iterations=300, wall_budget_seconds=5.0)
+        coloring, k, _ = solve_k_reduction(g, method, p, seed=1)
         assert is_proper(g, coloring)
         assert color_count(coloring) <= k
 
@@ -734,21 +767,21 @@ class TestStartCache:
     def test_one_start_per_graph_across_methods_and_seeds(self, start_calls, monkeypatch):
         monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
         warm = [random_graph(20, 0.5, seed=s) for s in (1, 2)]
-        cells = [(g, params(method=method, wall_budget_seconds=2.0), seed)
-                 for g in warm for method in METHODS for seed in (1, 2)]
+        p = params(wall_budget_seconds=2.0)
+        cells = [(g, method, p, seed) for g in warm for method in METHODS for seed in (1, 2)]
         results = [solve_k_reduction(*cell) for cell in cells]
         assert sorted(start_calls) == start_of(*warm)
         assert any(trace for _, _, trace in results)  # levels ran from the start
         # each solve of a fresh equal graph computes its own start: same result
         assert results == [solve_k_reduction(Graph(g.vertex_count, g.edge_count, g.adjacency),
-                                             p, seed) for g, p, seed in cells]
+                                             method, p, seed) for g, method, p, seed in cells]
 
     def test_returned_coloring_is_a_copy(self, k4):
-        first, k, trace = solve_k_reduction(k4, params(), seed=1)
+        first, k, trace = solve_k_reduction(k4, "HC", params(), seed=1)
         assert (k, trace) == (4, [])  # no level runs: the start itself is returned
         expected = list(first)
         first[0] = first[1]
-        again, _, _ = solve_k_reduction(k4, params(), seed=1)
+        again, _, _ = solve_k_reduction(k4, "HC", params(), seed=1)
         assert again == expected
         assert type(again) is list
 
@@ -757,7 +790,7 @@ class TestStartCache:
         b = Graph(a.vertex_count, a.edge_count, a.adjacency)
         assert a == b and a is not b
         for g in (a, b, a, b):
-            solve_k_reduction(g, params(wall_budget_seconds=1.0), seed=1,
+            solve_k_reduction(g, "HC", params(wall_budget_seconds=1.0), seed=1,
                               clock=VirtualClock())
         assert sorted(start_calls) == start_of(a, b)
 
@@ -771,11 +804,11 @@ class TestStartCache:
 
     def test_pickled_warm_graph_keeps_its_start(self, start_calls):
         warm = random_graph(10, 0.5, seed=5)
-        expected = solve_k_reduction(warm, params(wall_budget_seconds=1.0), seed=1,
+        expected = solve_k_reduction(warm, "HC", params(wall_budget_seconds=1.0), seed=1,
                                      clock=VirtualClock())
         copy = pickle.loads(pickle.dumps(warm))
         start_calls.clear()
-        got = solve_k_reduction(copy, params(wall_budget_seconds=1.0), seed=1,
+        got = solve_k_reduction(copy, "HC", params(wall_budget_seconds=1.0), seed=1,
                                 clock=VirtualClock())
         assert start_calls == []
         assert got == expected
