@@ -59,6 +59,10 @@ EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
                  "tests/test_cli.py::TestBenchAndReport::"
                  "test_an_empty_instance_is_skipped_and_the_run_continues")
 
+STRICT_CAP = ("    if vertex_count > MAX_VERTICES:\n"
+              "        return None  # the line parser names the p line\n")
+ENDPOINT_TABLE = "    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}\n"
+
 
 class Mutant(NamedTuple):
     name: str
@@ -170,10 +174,22 @@ MUTANTS = [
             "tests/test_bench.py::TestManifest::test_utf8_byte_order_mark_is_skipped")),
     Mutant("parse_dimacs: \\r allowed in a strict comment line", DIMACS,
            r"(?:c[^\n\r\x0b", r"(?:c[^\n\x0b", (STRICT_CASES,)),
-    Mutant("parse_dimacs: the strict path's range check removed", DIMACS,
-           "    if us and not (1 <= min(us) and max(us) <= vertex_count\n"
-           "                   and 1 <= min(vs) and max(vs) <= vertex_count):\n",
-           "    if False:\n", (STRICT_CASES, STRICT_FUZZ)),
+    Mutant("parse_dimacs: the endpoint table one entry wider", DIMACS,
+           "range(1, vertex_count + 1)}", "range(1, vertex_count + 2)}",
+           (STRICT_CASES, STRICT_FUZZ)),
+    Mutant("parse_dimacs: the endpoint table starts at \"0\"", DIMACS,
+           "range(1, vertex_count + 1)}", "range(0, vertex_count + 1)}",
+           (STRICT_CASES, STRICT_FUZZ)),
+    # only the cap + 1 file: past the table, a 10**8 file would ask for gigabytes
+    Mutant("parse_dimacs: the strict path's vertex cap checked after the table", DIMACS,
+           STRICT_CAP + ENDPOINT_TABLE, ENDPOINT_TABLE + STRICT_CAP,
+           ("tests/test_dimacs.py::TestVertexCap::"
+            "test_the_refusal_allocates_nothing_sized_by_the_p_line",)),
+    Mutant("parse_dimacs: the line parser's vertex cap removed", DIMACS,
+           "            if vertex_count > MAX_VERTICES:\n",
+           "            if False:\n",
+           ("tests/test_dimacs.py::TestVertexCap::"
+            "test_more_vertices_are_refused_on_the_p_line_by_both_paths",)),
     Mutant("parse_dimacs: the strict path's self-loop check removed", DIMACS,
            "if any(map(operator.eq, us, vs)):", "if False:", (STRICT_CASES, STRICT_FUZZ)),
     Mutant("parse_dimacs: an e line may run on past its second endpoint", DIMACS,

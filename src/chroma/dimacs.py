@@ -5,15 +5,18 @@ Grammar accepted: ``c`` comment lines anywhere, possibly indented; exactly one
 1-indexed endpoints separated by one or more spaces. Every number is ASCII
 digits, with an optional minus sign so that a negative one is named as such;
 ``+5``, ``1_0`` and non-ASCII digits, which Python's int() also reads, are
-refused. Unknown line types are ignored with a warning; an ``e``-line count
-that disagrees with the header is a warning, not an error, because duplicate
-edges legitimately collapse.
+refused. A ``p`` line of more than `MAX_VERTICES` vertices is refused before
+anything is sized by it. Unknown line types are ignored with a warning; an
+``e``-line count that disagrees with the header is a warning, not an error,
+because duplicate edges legitimately collapse.
 
 A file of exactly the shape `render_dimacs` writes (``c`` lines at column 0,
 one ``p`` line with single spaces, then only ``e U V`` lines of ASCII digits,
-each ended by a newline) is parsed in bulk; every other file, and every file
-with an endpoint out of range or a self-loop, goes line by line, so each
-message, line number and warning is the line parser's.
+each ended by a newline) is parsed in bulk, each endpoint read through a
+table from ``"1"``..``"N"`` to 0..N-1; every other file, and every file with
+an endpoint the table lacks (out of range, or with a leading zero) or a
+self-loop, goes line by line, so each message, line number and warning is
+the line parser's.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ BEST_KNOWN_COLORS: dict[str, int] = {
     "DSJC250.5": 28,
     "DSJC250.9": 72,
 }
+
+# The most vertices a file may declare: 5x the largest DIMACS coloring graph.
+# Graph.neighbor_masks takes up to n^2/8 bytes (about 312 MB here), so a
+# larger p line is refused before anything is sized by it.
+MAX_VERTICES = 50_000
 
 
 class DimacsError(ValueError):
@@ -89,7 +97,9 @@ def parse_dimacs(text: str) -> ParsedDimacs:
 
 def _parse_strict(text: str) -> Optional[ParsedDimacs]:
     """The parse of a file of the strict shape with every edge valid, or
-    None, for the line parser to take the file."""
+    None, for the line parser to take the file. None also for more than
+    MAX_VERTICES vertices, before the endpoint table is built, so the line
+    parser refuses the p line."""
     head = _STRICT_HEAD.match(text)
     if head is None or not text.endswith("\n"):
         return None
@@ -97,21 +107,23 @@ def _parse_strict(text: str) -> Optional[ParsedDimacs]:
     # endpos excludes the final newline, after which ^ would match once more
     if _NOT_E_LINE.search(text, body, len(text) - 1) is not None:
         return None
-    tokens = text[body:].split()
     try:
         vertex_count, declared = int(head[1]), int(head[2])
-        us = list(map(int, tokens[1::3]))
-        vs = list(map(int, tokens[2::3]))
     except ValueError:  # beyond int's digit limit
         return None
-    del tokens  # the larger part of the peak memory, held no longer than needed
-    if us and not (1 <= min(us) and max(us) <= vertex_count
-                   and 1 <= min(vs) and max(vs) <= vertex_count):
-        return None  # an endpoint out of range
+    if vertex_count > MAX_VERTICES:
+        return None  # the line parser names the p line
+    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}
+    tokens = text[body:].split()
+    try:  # one lookup converts, checks the range and moves to 0-based indices
+        us = list(map(index.__getitem__, tokens[1::3]))
+        vs = list(map(index.__getitem__, tokens[2::3]))
+    except KeyError:  # 0, above N, a leading zero or past int's digit limit
+        return None
+    del tokens, index  # most of the peak memory, held no longer than needed
     if any(map(operator.eq, us, vs)):
         return None  # a self-loop
-    edges = [(u - 1, v - 1) for u, v in zip(us, vs)]
-    return _parsed(vertex_count, edges, declared, [])
+    return _parsed(vertex_count, list(zip(us, vs)), declared, [])
 
 
 def _parse_lines(text: str) -> ParsedDimacs:
@@ -139,6 +151,9 @@ def _parse_lines(text: str) -> ParsedDimacs:
                 raise DimacsError(f"non-integer p line fields: {raw.rstrip()!r}", line_no)
             if vertex_count < 0 or declared < 0:
                 raise DimacsError("negative count in p line", line_no)
+            if vertex_count > MAX_VERTICES:
+                raise DimacsError(f"{vertex_count} vertices exceed the limit of "
+                                  f"{MAX_VERTICES}", line_no)
         elif kind == "e":
             if vertex_count < 0:
                 raise DimacsError("e line before p line", line_no)

@@ -6,6 +6,7 @@ import pytest
 
 from chroma import SolverParams, render_dimacs
 from chroma.cli import _build_parser, _params_from_args, main
+from chroma.dimacs import MAX_VERTICES
 
 from conftest import DATA_DIR
 
@@ -83,6 +84,16 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == f"error: {loop}: line 3: self-loop: e 3 3\n"
+
+    def test_more_vertices_than_the_cap_exits_2_naming_file_and_line(self, capsys,
+                                                                     tmp_path):
+        big = tmp_path / "big.col"
+        big.write_text(f"c too many\np edge {MAX_VERTICES + 1} 0\n")
+        code, out, err = run_cli(capsys, "solve", str(big), "--method", "hc")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {big}: line 2: {MAX_VERTICES + 1} vertices exceed "
+                       f"the limit of {MAX_VERTICES}\n")
 
     @pytest.mark.parametrize("body,line", [
         ("p edge 20 1\ne 1_0 2\n", "line 2: non-integer endpoint: 'e 1_0 2'"),
@@ -265,6 +276,22 @@ class TestBenchAndReport:
         assert err.splitlines() == [
             f"error: {empty}: cannot color an empty graph",
             f"1 instance(s) skipped (4 cell(s) not run); details in {out_csv}.errors.txt"]
+
+    def test_an_instance_above_the_vertex_cap_is_skipped_naming_it(self, capsys,
+                                                                   tmp_path):
+        tri = tmp_path / "tri.col"
+        tri.write_text(render_dimacs(3, [(0, 1), (1, 2), (0, 2)]))
+        big = tmp_path / "big.col"
+        big.write_text(f"p edge {MAX_VERTICES + 1} 0\n")
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"instances = {tri}, {big}\nmethods = hc\nseeds = 1\n")
+        out_csv = tmp_path / "results.csv"
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(out_csv), "--jobs", "1")
+        assert code == 0
+        assert "wrote 1 results" in out
+        assert err.splitlines()[0] == (f"error: {big}: line 1: {MAX_VERTICES + 1} "
+                                       f"vertices exceed the limit of {MAX_VERTICES}")
 
     def test_a_retired_knob_exits_2(self, capsys, tmp_path):
         # hc_strict, sa_geometric, initializer, ils_perturbation and

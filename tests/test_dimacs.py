@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,10 @@ class TestStrictPath:
         "p edge 3 1\ne 1 4\n",
         "p edge 3 1\ne 4 1\n",
         "p edge 3 1\ne 0 2\n",
+        "p edge 3 1\ne 2 0\n",
+        # a leading zero: the line parser reads it, the endpoint table does not
+        "p edge 3 1\ne 01 2\n",
+        "p edge 3 1\ne 1 02\n",
         "p edge 3 2\ne 1 2\ne 2 2\n",
         "p edge 3 1\ne 1 2 3\n",
         "p edge 4 2\ne 1\n2 e 3 4\n",
@@ -247,6 +252,44 @@ class TestStrictPath:
         assert parsed.vertex_count == 125
         assert parsed.edges == [(0, 4), (4, 0), (124, 1), (1, 124)]
         assert parsed.warnings == []
+
+
+class TestVertexCap:
+    CAP = dimacs.MAX_VERTICES
+
+    def test_the_cap_itself_loads_on_the_strict_path(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line parser was called")
+
+        monkeypatch.setattr(dimacs, "_parse_lines", refuse)
+        parsed = parse_dimacs(f"p edge {self.CAP} 1\ne {self.CAP} 1\n")
+        assert parsed.vertex_count == self.CAP
+        assert parsed.edges == [(self.CAP - 1, 0)]
+
+    @pytest.mark.parametrize("text,line,count", [
+        (f"p edge {dimacs.MAX_VERTICES + 1} 0\n", 1, dimacs.MAX_VERTICES + 1),
+        (f"c x\np edge {dimacs.MAX_VERTICES + 1} 1\ne 1 2\n", 2, dimacs.MAX_VERTICES + 1),
+        ("p edge 100000000 0\n", 1, 10**8),
+        ("c off the strict shape\r\np col 100000000 0\n", 2, 10**8),
+    ])
+    def test_more_vertices_are_refused_on_the_p_line_by_both_paths(self, text, line,
+                                                                    count):
+        assert_paths_agree(text)
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == (
+            f"line {line}: {count} vertices exceed the limit of {self.CAP}")
+
+    def test_the_refusal_allocates_nothing_sized_by_the_p_line(self):
+        text = f"p edge {self.CAP + 1} 0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimacsError):
+                parse_dimacs(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLoadInstance:
