@@ -34,6 +34,7 @@ BENCH = "src/chroma/bench.py"
 CLI = "src/chroma/cli.py"
 DIMACS = "src/chroma/dimacs.py"
 GRAPH = "src/chroma/graph.py"
+CLOCK = "src/chroma/clock.py"
 
 CLIMB_KERNEL = "tests/test_search.py::TestMoveKernel::test_hill_climbing"
 TS_KERNEL = "tests/test_search.py::TestMoveKernel::test_tabu_search"
@@ -244,6 +245,24 @@ MUTANTS = [
            "    run = _METHOD_FUNCS.get(method, hill_climbing)\n",
            ("tests/test_search.py::TestSolveKReduction::"
             "test_unknown_method_rejected_before_the_graph_is_read",)),
+    Mutant("_climb: the best coloring replaced on every accepted move", SEARCH,
+           "        if state.total < best_conf:\n"
+           "            best_conf = state.total\n"
+           "            best = list(colors)\n",
+           "        if state.total < best_conf:\n"
+           "            best_conf = state.total\n"
+           "        best = list(colors)\n",
+           # not HC's test_returned_best_bounds_all_accepted_states: HC never
+           # accepts a worse move, so its final state has the best's conflicts
+           (CLIMB_KERNEL, "tests/test_search.py::TestSimulatedAnnealing::"
+                          "test_best_ever_returned_not_final_state")),
+    Mutant("make_clock: the setting read once at import", CLOCK,
+           "def make_clock() -> Clock:\n"
+           "    if os.environ.get(VIRTUAL_CLOCK_ENV) == \"1\":\n",
+           "_VIRTUAL = os.environ.get(VIRTUAL_CLOCK_ENV) == \"1\"\n\n\n"
+           "def make_clock() -> Clock:\n"
+           "    if _VIRTUAL:\n",
+           ("tests/test_bench.py::TestRunBenchmark::test_each_cell_reads_the_clock_setting",)),
     Mutant("_climb: the temperature one move late", SEARCH,
            "            t = t_initial - i * decrement\n",
            "            t = t_initial - (i - 1) * decrement\n",

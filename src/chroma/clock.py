@@ -8,6 +8,8 @@ Setting CHROMA_VIRTUAL_CLOCK=1 makes every time-driven decision (ILS budgets,
 wall budgets, reported elapsed seconds) a pure function of the number of
 objective evaluations, at a fixed rate of one millisecond per evaluation.
 Runs then produce byte-identical output for identical inputs and seeds.
+`make_clock` reads the setting at every call, so each benchmark cell gets
+the clock that the setting names when the cell starts.
 """
 
 from __future__ import annotations

@@ -41,15 +41,13 @@ import typing
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .clock import Clock, make_clock
 from .graph import Coloring, Graph, color_count
 from .heuristics import chromatic_lower_bound, dsatur
 
 METHODS = ("HC", "SA", "TS", "ILS")
-
-AcceptHook = Callable[[int, int, float], None]  # (iteration, conflicts, elapsed)
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,10 @@ PARAM_TYPES: dict[str, type] = typing.get_type_hints(SolverParams)
 
 @dataclass
 class SearchOutcome:
+    """What one fixed-palette search returns: the best coloring it reached,
+    that coloring's conflicts (0 when proper), the objective evaluations it
+    made, the initial state's included, and the clock's elapsed seconds."""
+
     coloring: Coloring
     conflicts: int
     evaluations: int
@@ -204,9 +206,8 @@ def _prepare(g: Graph, k: int, init: Sequence[int], seed: int,
 
 
 def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
-           t_origin: float, iterations: int = sys.maxsize, stop_at: float = math.inf,
-           t_initial: float = 0.0, decrement: float = 0.0,
-           on_accept: Optional[AcceptHook] = None) -> tuple[Coloring, int, int]:
+           iterations: int = sys.maxsize, stop_at: float = math.inf,
+           t_initial: float = 0.0, decrement: float = 0.0) -> tuple[Coloring, int, int]:
     """The tweak/accept loop of hill climbing, simulated annealing and the
     ILS inner search.
 
@@ -218,7 +219,7 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     Stops at a zero-conflict state, after `iterations` moves or at `stop_at`;
     returns (best coloring, its conflicts, evaluations performed). Each move
     makes one clock call: `tick` counts its evaluation and returns the time
-    that the next stop test and `on_accept` read.
+    that the next stop test reads.
 
     The move is drawn and costed inline, with `randrange`'s rejection draw
     (see the module docstring): a call per draw would cost more than the AND
@@ -265,28 +266,23 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
         if state.total < best_conf:
             best_conf = state.total
             best = list(colors)
-        if on_accept is not None:
-            on_accept(i, state.total, now - t_origin)
     return best, best_conf, i
 
 
 def hill_climbing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                   seed: int, *, clock: Optional[Clock] = None,
-                  deadline: float = math.inf,
-                  on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
+                  deadline: float = math.inf) -> SearchOutcome:
     """Fixed-iteration descent accepting any non-worsening tweak."""
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best, best_conf, evals = _climb(
-        k, state, rng=rng, clock=clock, t_origin=t0,
-        iterations=params.hc_iterations, stop_at=deadline, on_accept=on_accept,
+        k, state, rng=rng, clock=clock, iterations=params.hc_iterations, stop_at=deadline,
     )
     return SearchOutcome(best, best_conf, evals + 1, clock.now() - t0)
 
 
 def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                         seed: int, *, clock: Optional[Clock] = None,
-                        deadline: float = math.inf,
-                        on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
+                        deadline: float = math.inf) -> SearchOutcome:
     """Metropolis acceptance (see _climb) under a linearly decreasing
     temperature.
 
@@ -296,18 +292,15 @@ def simulated_annealing(g: Graph, k: int, init: Sequence[int], params: SolverPar
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best, best_conf, evals = _climb(
-        k, state, rng=rng, clock=clock, t_origin=t0,
-        iterations=params.sa_iterations, stop_at=deadline,
-        t_initial=params.sa_iterations * params.sa_decrement,
-        decrement=params.sa_decrement, on_accept=on_accept,
+        k, state, rng=rng, clock=clock, iterations=params.sa_iterations, stop_at=deadline,
+        t_initial=params.sa_iterations * params.sa_decrement, decrement=params.sa_decrement,
     )
     return SearchOutcome(best, best_conf, evals + 1, clock.now() - t0)
 
 
 def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                 seed: int, *, clock: Optional[Clock] = None,
-                deadline: float = math.inf,
-                on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
+                deadline: float = math.inf) -> SearchOutcome:
     """Best-of-sample moves barred from revisiting recently seen colorings.
 
     Each iteration draws ts_num_tweaks candidates from the current coloring,
@@ -323,7 +316,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     Candidates are drawn and costed inline with the same lines as in _climb,
     and for the same reason each vertex is drawn from `conflicted`. They read
     no time: one `tick(ts_num_tweaks)` per iteration counts the sample and
-    returns the time that the next stop test and `on_accept` read.
+    returns the time that the next stop test reads.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best = list(state.colors)
@@ -379,8 +372,6 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
         if state.total < best_conf:
             best_conf = state.total
             best = list(state.colors)
-        if on_accept is not None:
-            on_accept(i, state.total, now - t0)
     return SearchOutcome(best, best_conf, 1 + i * num_tweaks, clock.now() - t0)
 
 
@@ -405,8 +396,7 @@ def _perturb(colors: Sequence[int], k: int, rng: random.Random) -> Coloring:
 
 def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                           seed: int, *, clock: Optional[Clock] = None,
-                          deadline: float = math.inf,
-                          on_accept: Optional[AcceptHook] = None) -> SearchOutcome:
+                          deadline: float = math.inf) -> SearchOutcome:
     """Time-budgeted climbs restarted from perturbed home bases.
 
     Runs ils_inner_seconds climbs until ils_total_seconds elapse; a climb
@@ -428,8 +418,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         clock.tick()
         evals += 1
         inner_best, inner_conf, inner_evals = _climb(
-            k, inner_state, rng=rng, clock=clock, t_origin=t0,
-            stop_at=inner_stop, on_accept=on_accept,
+            k, inner_state, rng=rng, clock=clock, stop_at=inner_stop,
         )
         evals += inner_evals
         if inner_conf < best_conf:

@@ -180,13 +180,15 @@ def reference_recolor(g, k, colors, rng):
     return moved, conflict_count(g, moved)
 
 
-def reference_climb(g):
+def reference_climb(g, accepted):
     """A stand-in for chroma.search._climb on graph g, with its signature and
     contract read literally: each move drawn by reference_draw_move and
     costed by recounting the moved coloring. Only the state's colors are
-    read, and the state is left as it was."""
-    def climb(k, state, *, rng, clock, t_origin, iterations=sys.maxsize, stop_at=math.inf,
-              t_initial=0.0, decrement=0.0, on_accept=None):
+    read, and the state is left as it was; each accepted move appends the
+    conflicts after it to `accepted`, as `spy_accepted_conflicts` records
+    the real loop's."""
+    def climb(k, state, *, rng, clock, iterations=sys.maxsize, stop_at=math.inf,
+              t_initial=0.0, decrement=0.0):
         colors = list(state.colors)
         conf = conflict_count(g, colors)
         best, best_conf = list(colors), conf
@@ -207,8 +209,7 @@ def reference_climb(g):
                 colors, conf = moved, moved_conf
                 if conf < best_conf:
                     best, best_conf = list(colors), conf
-                if on_accept is not None:
-                    on_accept(i, conf, clock.now() - t_origin)
+                accepted.append(conf)
         return best, best_conf, i
     return climb
 
@@ -251,6 +252,28 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
     return build_graph(10, outer + spokes + inner)
+
+
+def spy_accepted_conflicts(mp) -> list[int]:
+    """Wraps chroma.search._ConflictState.apply through `mp`, a MonkeyPatch:
+    every search applies a move only once it is accepted, so the returned
+    list gets the state's conflicts after each accepted move, in order."""
+    import chroma.search as search_module
+    accepted: list[int] = []
+    real_apply = search_module._ConflictState.apply
+
+    def apply(state, v, new_color):
+        real_apply(state, v, new_color)
+        accepted.append(state.total)
+    mp.setattr(search_module._ConflictState, "apply", apply)
+    return accepted
+
+
+@pytest.fixture
+def accepted_conflicts(monkeypatch):
+    """The conflicts after each move accepted in this test (see
+    spy_accepted_conflicts)."""
+    return spy_accepted_conflicts(monkeypatch)
 
 
 @pytest.fixture

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chroma import VirtualClock, bench, render_dimacs
+from chroma import VirtualClock, WallClock, bench, render_dimacs
 from chroma.bench import (PARAM_OVERRIDES, BenchManifest, InternalInvariantError,
                           RunResult, compare_report, diff_percent, parse_manifest,
                           run_benchmark, run_cell)
 from chroma.dimacs import load_instance
 from chroma.search import SolverParams
+
+from conftest import DATA_DIR
 
 
 class TestDiffPercent:
@@ -297,6 +299,29 @@ class TestRunBenchmark:
         rows, errors = run_benchmark(small_manifest, jobs=1)
         assert (len(rows), errors) == (16, [])
         assert checks == []
+
+    def test_each_cell_reads_the_clock_setting(self, monkeypatch):
+        # chroma was imported before the variable is set here, and it changes
+        # between two cells: each cell's clock follows the setting of its time
+        record = load_instance(DATA_DIR / "toy20.col")
+        runs = []
+        real = bench.solve_k_reduction
+
+        def spy(g, method, params, seed, *, clock):
+            result = real(g, method, params, seed, clock=clock)
+            runs.append((type(clock), sum(o.evaluations for o in result[2])))
+            return result
+
+        monkeypatch.setattr(bench, "solve_k_reduction", spy)
+        p = SolverParams(hc_iterations=200)
+        monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+        virtual = run_cell(record, "HC", 1, p)
+        monkeypatch.delenv("CHROMA_VIRTUAL_CLOCK")
+        run_cell(record, "HC", 1, p)
+        assert [kind for kind, _ in runs] == [VirtualClock, WallClock]
+        evaluations = runs[0][1]
+        assert evaluations > 0
+        assert virtual.wall_seconds == evaluations * 0.001
 
     def test_writes_csv_when_given_stream(self, small_manifest):
         out = io.StringIO()

@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from collections import deque
@@ -16,7 +17,8 @@ from chroma import (METHODS, Graph, SearchOutcome, SolverParams, VirtualClock,
                     tabu_search)
 
 from conftest import (conflict_count, conflicted_vertices, graphs,
-                      reference_climb, reference_draw_move, reference_ts_sample)
+                      reference_climb, reference_draw_move, reference_ts_sample,
+                      spy_accepted_conflicts)
 
 
 def params(**overrides) -> SolverParams:
@@ -208,11 +210,12 @@ def search_cases(draw):
 
 
 def run_recorded(search, g, k, init, p, seed, **kwargs):
-    """(outcome, on_accept events) of one run under a fresh virtual clock."""
-    events = []
-    out = search(g, k, init, p, seed, clock=VirtualClock(),
-                 on_accept=lambda *event: events.append(event), **kwargs)
-    return out, events
+    """(outcome, conflicts after each accepted move) of one run under a fresh
+    virtual clock."""
+    with pytest.MonkeyPatch.context() as mp:
+        accepted = spy_accepted_conflicts(mp)
+        out = search(g, k, init, p, seed, clock=VirtualClock(), **kwargs)
+    return out, accepted
 
 
 def reference_tabu_search(g, k, init, p, seed):
@@ -233,8 +236,8 @@ def reference_tabu_search(g, k, init, p, seed):
     best, best_conf = list(colors), conflict_count(g, colors)
     tabu = deque(maxlen=p.ts_tabu_length)
     evals = 1
-    events = []
-    for i in range(1, p.ts_iterations + 1):
+    accepted = []
+    for _ in range(p.ts_iterations):
         if best_conf == 0:
             break
         chosen = reference_ts_sample(g, k, colors, rng, clock, p.ts_num_tweaks,
@@ -246,29 +249,38 @@ def reference_tabu_search(g, k, init, p, seed):
         tabu.append(fp)
         if conf < best_conf:
             best, best_conf = list(colors), conf
-        events.append((i, conf, clock.now()))
-    return SearchOutcome(best, best_conf, evals, clock.now()), events
+        accepted.append(conf)
+    return SearchOutcome(best, best_conf, evals, clock.now()), accepted
 
 
 class TestMoveKernel:
     """The inline move kernels of _climb and tabu_search against references
     that draw with rng.randrange and recount every move's cost: the same
-    coloring, conflicts, evaluations, elapsed time and on_accept events.
-    k = 2 is included, where each color draw is randrange(1), one bit."""
+    coloring, conflicts, evaluations, elapsed time and conflicts after each
+    accepted move. k = 2 is included, where each color draw is randrange(1),
+    one bit."""
 
     @staticmethod
     def assert_climb_matches(search, case, p, **kwargs):
         g, k, init, seed = case
         kernel = run_recorded(search, g, k, init, p, seed, **kwargs)
+        accepted = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_climb", reference_climb(g))
-            reference = run_recorded(search, g, k, init, p, seed, **kwargs)
-        assert kernel == reference
+            mp.setattr(search_module, "_climb", reference_climb(g, accepted))
+            out = search(g, k, init, p, seed, clock=VirtualClock(), **kwargs)
+        assert kernel == (out, accepted)
 
     @settings(deadline=None)
-    @given(search_cases())
-    def test_hill_climbing(self, case):
-        self.assert_climb_matches(hill_climbing, case, params(hc_iterations=300))
+    @given(search_cases(), st.sampled_from((math.inf, 0.15)))
+    # K4 at k = 3 never gets below one conflict, and plateau moves leave it
+    # there, so the best coloring is not the final one; a deadline of 150
+    # evaluations cuts the 300-move run, so the stop test's reading of the
+    # time that tick returns is compared too
+    @example((K4, 3, [0] * 4, 0), math.inf)
+    @example((K4, 3, [0] * 4, 0), 0.15)
+    def test_hill_climbing(self, case, deadline):
+        self.assert_climb_matches(hill_climbing, case, params(hc_iterations=300),
+                                  deadline=deadline)
 
     @settings(deadline=None)
     @given(search_cases())
@@ -383,20 +395,17 @@ class TestHillClimbing:
         assert out.conflicts == 0
         assert is_proper(k3, out.coloring)
 
-    def test_accepted_conflicts_never_increase(self):
+    def test_accepted_conflicts_never_increase(self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
-        accepted = []
-        hill_climbing(g, 3, [0] * 15, params(), seed=2,
-                      on_accept=lambda i, conf, t: accepted.append(conf))
+        hill_climbing(g, 3, [0] * 15, params(), seed=2)
+        accepted = accepted_conflicts
         assert accepted, "expected some accepted moves"
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
 
-    def test_returned_best_bounds_all_accepted_states(self):
+    def test_returned_best_bounds_all_accepted_states(self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
-        accepted = []
-        out = hill_climbing(g, 3, [0] * 15, params(), seed=2,
-                            on_accept=lambda i, conf, t: accepted.append(conf))
-        assert out.conflicts <= min(accepted)
+        out = hill_climbing(g, 3, [0] * 15, params(), seed=2)
+        assert out.conflicts <= min(accepted_conflicts)
         assert out.conflicts == conflict_count(g, out.coloring)
 
     def test_deterministic(self):
@@ -422,16 +431,17 @@ class TestHillClimbing:
 
 
 class TestSimulatedAnnealing:
-    def test_zero_temperature_trajectory_equals_plateau_hill_climbing(self):
+    def test_zero_temperature_trajectory_equals_plateau_hill_climbing(
+            self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
 
         def climb(**kwargs):
-            events = []
+            accepted_conflicts.clear()
             state = search_module._ConflictState(g, 3, [0] * 15)
             result = search_module._climb(
-                3, state, rng=random.Random(21), clock=VirtualClock(), t_origin=0.0,
-                iterations=5000, on_accept=lambda *event: events.append(event), **kwargs)
-            return result, events
+                3, state, rng=random.Random(21), clock=VirtualClock(),
+                iterations=5000, **kwargs)
+            return result, list(accepted_conflicts)
 
         # 1.0 - i * 1.0 is zero from move 1 on
         assert climb(t_initial=1.0, decrement=1.0) == climb()
@@ -448,31 +458,30 @@ class TestSimulatedAnnealing:
         real_random = rng.random
         rng.random = lambda: draws.append(1) or real_random()
         _, conflicts, moves = search_module._climb(
-            3, state, rng=rng, clock=VirtualClock(), t_origin=0.0, iterations=6,
+            3, state, rng=rng, clock=VirtualClock(), iterations=6,
             t_initial=3 * 2.0 ** -60, decrement=2.0 ** -60)
         assert (conflicts, moves, len(draws)) == (1, 6, 2)
 
-    def test_tiny_positive_temperature_never_accepts_worse(self):
+    def test_tiny_positive_temperature_never_accepts_worse(self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
-        accepted = []
-        simulated_annealing(g, 3, [0] * 15, params(sa_decrement=1e-300), seed=3,
-                            on_accept=lambda i, conf, t: accepted.append(conf))
+        simulated_annealing(g, 3, [0] * 15, params(sa_decrement=1e-300), seed=3)
+        accepted = accepted_conflicts
+        assert accepted, "expected some accepted moves"
         assert all(b <= a for a, b in zip(accepted, accepted[1:]))
 
-    def test_high_temperature_accepts_worsening_moves(self):
+    def test_high_temperature_accepts_worsening_moves(self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
-        accepted = []
         simulated_annealing(g, 3, [0] * 15, params(sa_iterations=300, sa_decrement=1e7),
-                            seed=3, on_accept=lambda i, conf, t: accepted.append(conf))
+                            seed=3)
+        accepted = accepted_conflicts
         assert any(b > a for a, b in zip(accepted, accepted[1:])), \
             "near-infinite temperature should accept worsening moves"
 
-    def test_best_ever_returned_not_final_state(self):
+    def test_best_ever_returned_not_final_state(self, accepted_conflicts):
         g = random_graph(15, 0.5, seed=8)
-        accepted = []
         out = simulated_annealing(g, 3, [0] * 15,
-                                  params(sa_iterations=300, sa_decrement=1e7), seed=3,
-                                  on_accept=lambda i, conf, t: accepted.append(conf))
+                                  params(sa_iterations=300, sa_decrement=1e7), seed=3)
+        accepted = accepted_conflicts
         assert out.conflicts == conflict_count(g, out.coloring)
         assert out.conflicts <= min(accepted)
         assert out.conflicts < accepted[-1], \
@@ -498,28 +507,26 @@ class TestTabuSearch:
         assert out.conflicts == 0
         assert is_proper(k3, out.coloring)
 
-    def test_all_tabu_iterations_make_no_move(self, k3):
+    def test_all_tabu_iterations_make_no_move(self, k3, accepted_conflicts):
         # K3 at k=2 has 8 states, none proper; with a tabu list larger than
         # the state space every candidate eventually becomes tabu and the
         # remaining iterations stall
-        accepted = []
         out = tabu_search(k3, 2, [0, 0, 0],
-                          params(ts_iterations=50, ts_tabu_length=20), seed=7,
-                          on_accept=lambda i, conf, t: accepted.append(i))
-        assert len(accepted) < 50
+                          params(ts_iterations=50, ts_tabu_length=20), seed=7)
+        assert len(accepted_conflicts) < 50
         assert out.conflicts == 1  # best achievable with 2 colors
 
-    def test_virtual_deadline_stops_at_the_first_iteration_past_it(self, k3):
+    def test_virtual_deadline_stops_at_the_first_iteration_past_it(
+            self, k3, accepted_conflicts):
         # each iteration counts its 10 candidates, all-tabu ones included:
         # the run stops at the first count 1 + 10 * i at or past 499.5
         clock = VirtualClock()
-        accepted = []
         out = tabu_search(k3, 2, [0, 0, 0], params(ts_iterations=1000), seed=7,
-                          clock=clock, deadline=0.4995,
-                          on_accept=lambda i, conf, t: accepted.append(i))
+                          clock=clock, deadline=0.4995)
         assert out.evaluations == clock.evaluations == 501
         assert out.elapsed_seconds == 501 * 0.001
-        assert len(accepted) < 50  # some of the 50 samples were all tabu
+        # some of the 50 samples were all tabu
+        assert len(accepted_conflicts) < 50
 
     def test_wall_deadline_cuts_the_run(self, k3):
         clock = WallClock()
