@@ -63,6 +63,10 @@ EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
 STRICT_CAP = ("    if vertex_count > MAX_VERTICES:\n"
               "        return None  # the line parser names the p line\n")
 ENDPOINT_TABLE = "    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}\n"
+CHECKED_ENDPOINTS = ("tests/test_dimacs.py::TestCheckedEndpoints::"
+                     "test_accepted_texts_hold_only_checked_endpoints",
+                     "tests/test_dimacs.py::TestCheckedEndpoints::"
+                     "test_accepted_edge_cases_hold_only_checked_endpoints")
 
 
 class Mutant(NamedTuple):
@@ -120,6 +124,11 @@ MUTANTS = [
     Mutant("tabu_search: tabu list one longer than ts_tabu_length", SEARCH,
            "deque(maxlen=params.ts_tabu_length)", "deque(maxlen=params.ts_tabu_length + 1)",
            ("tests/test_acceptance.py::test_criterion_7_fifo_memory_invariants", TS_KERNEL)),
+    Mutant("ILS: a kick after the last climb", SEARCH,
+           "        current = None  # the next climb, if one runs, starts from a kick\n",
+           "        current = _perturb(best, k, rng)\n",
+           ("tests/test_search.py::TestIteratedLocalSearch::"
+            "test_a_kick_is_drawn_only_for_a_climb_that_runs",)),
     Mutant("ILS: adopts results of equal conflicts", SEARCH,
            "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
            ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),
@@ -193,6 +202,15 @@ MUTANTS = [
             "test_more_vertices_are_refused_on_the_p_line_by_both_paths",)),
     Mutant("parse_dimacs: the strict path's self-loop check removed", DIMACS,
            "if any(map(operator.eq, us, vs)):", "if False:", (STRICT_CASES, STRICT_FUZZ)),
+    # with no check after the parse, the line parser alone refuses these
+    Mutant("parse_dimacs: the line parser's self-loop check removed", DIMACS,
+           "            if u == v:\n", "            if False:\n",
+           ("tests/test_dimacs.py::TestParse::test_self_loop_names_its_line_in_file_indices",
+            *CHECKED_ENDPOINTS)),
+    Mutant("parse_dimacs: the line parser's range check removed", DIMACS,
+           "if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):", "if False:",
+           ("tests/test_dimacs.py::TestParse::test_endpoint_out_of_range_reports_line",
+            *CHECKED_ENDPOINTS)),
     Mutant("parse_dimacs: an e line may run on past its second endpoint", DIMACS,
            'r"^(?!e [0-9]+ [0-9]+$)"', 'r"^(?!e [0-9]+ [0-9]+)"', (STRICT_CASES,)),
     Mutant("parse_dimacs: the strict path never taken", DIMACS,
@@ -275,10 +293,11 @@ MUTANTS = [
            'command.register("type", float, _number)', "pass",
            ("tests/test_cli.py::TestSolve::"
             "test_a_float_flag_float_reads_but_chroma_does_not_exits_2",)),
-    Mutant("build_graph: duplicate neighbors kept", GRAPH,
+    Mutant("graph_from_endpoints: duplicate neighbors kept", GRAPH,
            "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
            ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",
-            "tests/test_graph.py::TestBuildGraph::test_reversed_duplicate_collapses")),
+            "tests/test_graph.py::TestBuildGraph::test_reversed_duplicate_collapses",
+            "tests/test_dimacs.py::TestLoadInstance::test_duplicate_edges_collapse_into_graph")),
 ]
 
 

@@ -16,7 +16,9 @@ each ended by a newline) is parsed in bulk, each endpoint read through a
 table from ``"1"``..``"N"`` to 0..N-1; every other file, and every file with
 an endpoint the table lacks (out of range, or with a leading zero) or a
 self-loop, goes line by line, so each message, line number and warning is
-the line parser's.
+the line parser's. Both paths check every edge, so `load_instance` hands
+their endpoint lists straight to `graph_from_endpoints`: no list of edge
+pairs is built and no edge is checked twice.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph, build_graph
+from .graph import Graph, graph_from_endpoints
 
 log = logging.getLogger(__name__)
 
@@ -59,12 +61,20 @@ class DimacsError(ValueError):
 
 @dataclass
 class ParsedDimacs:
-    """Raw parse result: 0-indexed edge pairs, duplicates not yet collapsed."""
+    """Raw parse result, duplicates not yet collapsed: edge i joins the
+    0-indexed endpoints us[i] and vs[i]. Both parse paths check every edge,
+    so each endpoint lies in [0, vertex_count) and no edge is a self-loop."""
 
     vertex_count: int
-    edges: list[tuple[int, int]]
+    us: list[int]
+    vs: list[int]
     declared_edge_count: int
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The (u, v) pairs in file order, built on each call."""
+        return list(zip(self.us, self.vs))
 
 
 @dataclass
@@ -90,7 +100,7 @@ _NOT_E_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+$)", re.M)
 
 
 def parse_dimacs(text: str) -> ParsedDimacs:
-    """Parse DIMACS .col text into (vertex count, edge pairs, warnings)."""
+    """Parse DIMACS .col text into (vertex count, endpoints, warnings)."""
     parsed = _parse_strict(text)
     return _parse_lines(text) if parsed is None else parsed
 
@@ -123,14 +133,15 @@ def _parse_strict(text: str) -> Optional[ParsedDimacs]:
     del tokens, index  # most of the peak memory, held no longer than needed
     if any(map(operator.eq, us, vs)):
         return None  # a self-loop
-    return _parsed(vertex_count, list(zip(us, vs)), declared, [])
+    return _parsed(vertex_count, us, vs, declared, [])
 
 
 def _parse_lines(text: str) -> ParsedDimacs:
     """Parse any text line by line; a DimacsError names the first bad line."""
     vertex_count = -1
     declared = 0
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     warnings: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -170,12 +181,13 @@ def _parse_lines(text: str) -> ParsedDimacs:
                 )
             if u == v:
                 raise DimacsError(f"self-loop: e {u} {v}", line_no)
-            edges.append((u - 1, v - 1))
+            us.append(u - 1)
+            vs.append(v - 1)
         else:
             warnings.append(f"line {line_no}: ignored unknown line type {kind!r}")
     if vertex_count < 0:
         raise DimacsError("missing p line")
-    return _parsed(vertex_count, edges, declared, warnings)
+    return _parsed(vertex_count, us, vs, declared, warnings)
 
 
 def _integer(token: str) -> int:
@@ -196,13 +208,13 @@ def _number(token: str) -> float:
     return float(token)
 
 
-def _parsed(vertex_count: int, edges: list[tuple[int, int]], declared: int,
+def _parsed(vertex_count: int, us: list[int], vs: list[int], declared: int,
             warnings: list[str]) -> ParsedDimacs:
-    if len(edges) != declared:
+    if len(us) != declared:
         warnings.append(
-            f"header declares {declared} edges but file has {len(edges)} e lines"
+            f"header declares {declared} edges but file has {len(us)} e lines"
         )
-    return ParsedDimacs(vertex_count, edges, declared, warnings)
+    return ParsedDimacs(vertex_count, us, vs, declared, warnings)
 
 
 def render_dimacs(vertex_count: int, edges: Iterable[tuple[int, int]],
@@ -270,7 +282,8 @@ def load_instance(path: str | Path,
         raise DimacsError(f"{path}: {exc}") from exc
     for warning in parsed.warnings:
         log.warning("%s: %s", path, warning)
-    graph = build_graph(parsed.vertex_count, parsed.edges)
+    # the parse checked every edge, so no edge list is built or checked again
+    graph = graph_from_endpoints(parsed.vertex_count, parsed.us, parsed.vs)
     table = BEST_KNOWN_COLORS if reference_table is None else reference_table
     return InstanceRecord(
         name=path.stem,

@@ -62,7 +62,8 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
-    lists: list[list[int]] = [[] for _ in range(vertex_count)]
+    us: list[int] = []
+    vs: list[int] = []
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(
@@ -70,6 +71,21 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
             )
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+        us.append(u)
+        vs.append(v)
+    return graph_from_endpoints(vertex_count, us, vs)
+
+
+def graph_from_endpoints(vertex_count: int, us: Sequence[int],
+                         vs: Sequence[int]) -> Graph:
+    """The graph whose edge i joins us[i] and vs[i], duplicates collapsed.
+
+    The endpoints are trusted, not checked: each must lie in
+    [0, vertex_count) and no edge may be a self-loop. `build_graph` checks
+    them for any caller; both DIMACS parse paths refuse every other edge.
+    """
+    lists: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in zip(us, vs):
         lists[u].append(v)
         lists[v].append(u)
     adjacency = tuple(tuple(sorted(set(neighbors))) for neighbors in lists)

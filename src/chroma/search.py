@@ -20,8 +20,8 @@ any method or seed, and every pickled copy of it, reuses it.
 The two hot loops, `_climb` (HC, SA and the ILS inner climb) and tabu
 search's sample loop, draw and evaluate the move inline rather than through
 helper calls, which cost more than the move itself. Each index is drawn with
-the rejection draw that `random.Random.randrange(m)` makes on Python 3.10 and
-3.11: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
+the rejection draw that `random.Random.randrange(m)` makes on Python 3.10
+to 3.13: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
 the color draw is randrange(1), which still takes one bit per move. The rng
 stream, and so every seeded trajectory, is the one `randrange` would give.
 `_perturb`, ILS's kick, still calls the stdlib's `sample` and `randrange`.
@@ -403,8 +403,9 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     already in flight then is allowed to finish, but none runs past
     `deadline`. The home base is the best coloring so far: a result with
     strictly fewer conflicts replaces it, and the next climb starts from it
-    with a kick applied (see _perturb). Home-base conflicts only fall, so no
-    home base recurs and no memory of past ones is kept.
+    with a kick applied (see _perturb), drawn only once that climb is due to
+    run. Home-base conflicts only fall, so no home base recurs and no memory
+    of past ones is kept.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     evals = 1
@@ -413,6 +414,8 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     stop_at = min(t0 + params.ils_total_seconds, deadline)
     current = best  # the first climb starts from the unperturbed init
     while best_conf > 0 and (now := clock.now()) < stop_at:
+        if current is None:  # a kick, drawn only for a climb that runs
+            current = _perturb(best, k, rng)
         inner_stop = min(now + params.ils_inner_seconds, deadline)
         inner_state = _ConflictState(g, k, current)
         clock.tick()
@@ -424,7 +427,7 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
         if inner_conf < best_conf:
             best_conf = inner_conf
             best = inner_best
-        current = _perturb(best, k, rng)
+        current = None  # the next climb, if one runs, starts from a kick
     return SearchOutcome(best, best_conf, evals, clock.now() - t0)
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chroma import (BEST_KNOWN_COLORS, DimacsError, dimacs, load_instance,
-                    parse_dimacs, render_dimacs)
+from chroma import (BEST_KNOWN_COLORS, DimacsError, build_graph, dimacs,
+                    load_instance, parse_dimacs, render_dimacs)
 from chroma.bench import CSV_FIELDS, RunResult, read_results_csv, write_results
 from chroma.dimacs import read_reference_table
 
@@ -210,31 +210,36 @@ def dimacs_texts(draw):
     return "".join(line + sep for line, sep in zip(lines, seps))
 
 
+# Texts on which the strict path must hand over to the line parser, or agree
+# with it at the edge of what it takes.
+STRICT_EDGE_CASES = [
+    # a separator inside a comment line would hide the second p line
+    *(f"c x{sep}p edge 3 1\np edge 3 1\ne 1 2\n" for sep in SEPARATORS),
+    "p edge 3 1\ne 1 4\n",
+    "p edge 3 1\ne 4 1\n",
+    "p edge 3 1\ne 0 2\n",
+    "p edge 3 1\ne 2 0\n",
+    # a leading zero: the line parser reads it, the endpoint table does not
+    "p edge 3 1\ne 01 2\n",
+    "p edge 3 1\ne 1 02\n",
+    "p edge 3 2\ne 1 2\ne 2 2\n",
+    "p edge 3 1\ne 1 2 3\n",
+    "p edge 4 2\ne 1\n2 e 3 4\n",
+    "p edge 3 1\ne 1 2",
+    "p edge 3 1\ne 1 2\n\n",
+    "p edge 3 1\ne 1 " + "1" * 5000 + "\n",  # beyond int's digit limit
+    "p edge 3 0\n",
+    "p edge 3 0",
+]
+
+
 class TestStrictPath:
     @settings(max_examples=300)
     @given(dimacs_texts())
     def test_agrees_with_the_line_parser(self, text):
         assert_paths_agree(text)
 
-    @pytest.mark.parametrize("text", [
-        # a separator inside a comment line would hide the second p line
-        *(f"c x{sep}p edge 3 1\np edge 3 1\ne 1 2\n" for sep in SEPARATORS),
-        "p edge 3 1\ne 1 4\n",
-        "p edge 3 1\ne 4 1\n",
-        "p edge 3 1\ne 0 2\n",
-        "p edge 3 1\ne 2 0\n",
-        # a leading zero: the line parser reads it, the endpoint table does not
-        "p edge 3 1\ne 01 2\n",
-        "p edge 3 1\ne 1 02\n",
-        "p edge 3 2\ne 1 2\ne 2 2\n",
-        "p edge 3 1\ne 1 2 3\n",
-        "p edge 4 2\ne 1\n2 e 3 4\n",
-        "p edge 3 1\ne 1 2",
-        "p edge 3 1\ne 1 2\n\n",
-        "p edge 3 1\ne 1 " + "1" * 5000 + "\n",  # beyond int's digit limit
-        "p edge 3 0\n",
-        "p edge 3 0",
-    ])
+    @pytest.mark.parametrize("text", STRICT_EDGE_CASES)
     def test_agrees_on_the_edge_cases(self, text):
         assert_paths_agree(text)
 
@@ -252,6 +257,44 @@ class TestStrictPath:
         assert parsed.vertex_count == 125
         assert parsed.edges == [(0, 4), (4, 0), (124, 1), (1, 124)]
         assert parsed.warnings == []
+
+
+def assert_only_checked_endpoints(text, directory):
+    """If parse_dimacs accepts the text, every endpoint lies in [0, n) and no
+    edge is a self-loop; load_instance, which builds its graph from these
+    endpoints without checking them, then gives the graph that build_graph
+    gives after checking them."""
+    try:
+        parsed = parse_dimacs(text)
+    except DimacsError:
+        return
+    n = parsed.vertex_count
+    for u, v in parsed.edges:
+        assert 0 <= u < n and 0 <= v < n and u != v, (u, v)
+    path = directory / "trusted.col"
+    path.write_bytes(text.encode())
+    assert load_instance(path).graph == build_graph(n, parsed.edges)
+
+
+@pytest.fixture(scope="module")
+def module_tmp_path(tmp_path_factory):
+    """One directory for every example of a hypothesis test, which cannot
+    take a fresh tmp_path per example."""
+    return tmp_path_factory.mktemp("examples")
+
+
+class TestCheckedEndpoints:
+    """load_instance trusts the parse: these tests hold both parse paths to
+    the checks that build_graph would make."""
+
+    @settings(max_examples=300)
+    @given(text=dimacs_texts())
+    def test_accepted_texts_hold_only_checked_endpoints(self, module_tmp_path, text):
+        assert_only_checked_endpoints(text, module_tmp_path)
+
+    @pytest.mark.parametrize("text", STRICT_EDGE_CASES)
+    def test_accepted_edge_cases_hold_only_checked_endpoints(self, tmp_path, text):
+        assert_only_checked_endpoints(text, tmp_path)
 
 
 class TestVertexCap:

@@ -618,6 +618,35 @@ class TestIteratedLocalSearch:
             if after != before:
                 assert conflict_count(g, after) < conflict_count(g, before)
 
+    @settings(max_examples=50, deadline=None)
+    @given(graphs(min_n=2), st.integers(2, 4), st.integers(0, 2**32))
+    def test_a_kick_is_drawn_only_for_a_climb_that_runs(self, g, k, seed):
+        # no kick follows the last climb, whether that climb found a proper
+        # coloring or the total budget ran out during it
+        events = []
+        real_climb, real_perturb = search_module._climb, search_module._perturb
+
+        def spy_climb(*args, **kwargs):
+            outcome = real_climb(*args, **kwargs)
+            events.append(("climb", outcome[1]))
+            return outcome
+
+        def spy_perturb(colors, k, rng):
+            events.append(("kick", None))
+            return real_perturb(colors, k, rng)
+
+        rng = random.Random(seed)
+        init = [rng.randrange(k) for _ in range(g.vertex_count)]
+        p = params(ils_inner_seconds=0.005, ils_total_seconds=0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_climb", spy_climb)
+            mp.setattr(search_module, "_perturb", spy_perturb)
+            iterated_local_search(g, k, init, p, seed, clock=VirtualClock())
+        climbs = [conflicts for kind, conflicts in events if kind == "climb"]
+        kinds = [kind for kind, _ in events]
+        assert kinds == (["climb"] + ["kick", "climb"] * (len(climbs) - 1) if climbs else [])
+        assert all(conflicts > 0 for conflicts in climbs[:-1])
+
     @pytest.mark.parametrize("n, moved", [(1, 1), (20, 1), (21, 2), (125, 7), (250, 13)])
     def test_a_kick_recolors_5_percent_of_the_vertices_rounded_up(self, n, moved):
         colors = [v % 3 for v in range(n)]
