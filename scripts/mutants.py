@@ -60,6 +60,9 @@ EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
                  "tests/test_cli.py::TestBenchAndReport::"
                  "test_an_empty_instance_is_skipped_and_the_run_continues")
 
+DSATUR_RULE = "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_read_literally"
+DSATUR_WIDE = "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_past_one_int_digit"
+
 STRICT_CAP = ("    if vertex_count > MAX_VERTICES:\n"
               "        return None  # the line parser names the p line\n")
 ENDPOINT_TABLE = "    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}\n"
@@ -94,13 +97,22 @@ def _kernel_mutants(label: str, indent: str, tests: tuple[str, ...]) -> list[Mut
 
 
 MUTANTS = [
-    Mutant("dsatur: saturation weight n // 2", HEURISTICS,
-           "priority[u] += n\n", "priority[u] += n // 2\n",
-           ("tests/test_heuristics.py::TestDsatur::test_matches_the_rule_across_large_degree_gaps",)),
-    Mutant("dsatur: vertices scanned in descending order", HEURISTICS,
-           "uncolored = list(range(n))\n", "uncolored = list(range(n - 1, -1, -1))\n",
-           ("tests/test_heuristics.py::TestDsaturGolden",
-            "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_read_literally")),
+    Mutant("dsatur: ties go to the highest index", HEURISTICS,
+           "bit = pick & -pick\n", "bit = 1 << pick.bit_length() - 1\n",
+           ("tests/test_heuristics.py::TestDsatur::test_complete", DSATUR_RULE)),
+    Mutant("dsatur: saturation planes read least significant first", HEURISTICS,
+           "for plane in saturation:\n", "for plane in reversed(saturation):\n",
+           ("tests/test_heuristics.py::TestDsatur::test_complete[70]", DSATUR_RULE, DSATUR_WIDE)),
+    Mutant("dsatur: the free-color scan skipped, so every vertex takes a new color",
+           HEURISTICS,
+           "if s == len(near):  # every color so far is on a neighbor\n            c = s\n",
+           "if True:\n            c = len(near)\n",
+           ("tests/test_heuristics.py::TestDsatur::test_even_cycle",
+            "tests/test_heuristics.py::TestDsatur::test_edgeless_uses_one_color",
+            DSATUR_RULE)),
+    Mutant("dsatur: the degree borrow chain stops after one plane", HEURISTICS,
+           "        while borrow:\n", "        if borrow:\n",
+           (DSATUR_RULE, DSATUR_WIDE, "tests/test_heuristics.py::TestDsaturGolden")),
     Mutant("apply: old class bit left uncleared", SEARCH,
            "classes[old] ^= bit\n", "pass\n",
            ("tests/test_search.py::TestConflictState::test_matches_recount_after_every_apply",

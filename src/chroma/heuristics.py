@@ -5,9 +5,14 @@ DSatur repeatedly colors the uncolored vertex with the highest saturation
 degree (count of distinct colors among already-colored neighbors), breaking
 ties by degree within the uncolored subgraph and then by lowest vertex index,
 and assigns the smallest color absent from its neighborhood (Brelaz 1979).
-One integer priority per vertex, saturation * n + uncolored degree, ranks
-saturation first and uncolored degree second, as that degree is below n. The
-result is always proper and never uses more than max_degree + 1 colors.
+The saturation and the uncolored degree are kept as two bit-sliced counters
+over the vertex bitsets of `Graph.neighbor_masks`, in the style of San
+Segundo et al.'s BBMC (2011): plane j of a counter is the bitset of the
+vertices whose count has bit j set. A pick is one AND per plane, and the
+lowest set bit of what remains is the tie-break by lowest index; coloring a
+vertex updates each counter in one carry or borrow chain, with no step per
+neighbor. The result is always proper and never uses more than
+max_degree + 1 colors.
 
 A clique of size s needs s distinct colors, so the clique number is a lower
 bound on the chromatic number. On small graphs chromatic_lower_bound tries it
@@ -25,26 +30,92 @@ EXACT_VERTEX_LIMIT = 16
 
 
 def dsatur(g: Graph) -> Coloring:
-    """Saturation-degree greedy coloring (Brelaz tie-breaking rule): seen[v] is
-    the bitset of the colors on v's colored neighbors; v takes its lowest 0 bit."""
+    """Saturation-degree greedy coloring (Brelaz's rule, lowest-index ties).
+
+    `saturation` and `degree` (the uncolored degree) are bit-sliced counters,
+    their planes most significant first: a vertex's count is read down its
+    bit in each plane. near[c] is the bitset of the vertices with a neighbor
+    colored c. The pick starts from the uncolored set and, plane by plane,
+    saturation's and then degree's, keeps only the vertices with the plane's
+    bit set whenever any has it. That leaves the vertices that rank highest,
+    and v is the lowest set bit among them. Its saturation s is read on the
+    way: when s equals the colors used so far, v takes a new color, else the
+    first c whose near[c] lacks v. Coloring v subtracts its uncolored
+    neighbors from `degree` in one borrow chain and adds those not yet near
+    c to `saturation` in one carry chain.
+    """
     n = g.vertex_count
-    colors: Coloring = [-1] * n
-    seen = [0] * n
-    priority = [len(g.adjacency[v]) for v in range(n)]
-    uncolored = list(range(n))
+    masks = g.neighbor_masks
+    colors: Coloring = [0] * n
+    degree = _count(masks)
+    top_plane = len(degree) - 1
+    saturation: list[int] = []
+    near: list[int] = []
+    uncolored = (1 << n) - 1
     while uncolored:
-        v = max(uncolored, key=priority.__getitem__)  # first of equals: lowest index
-        uncolored.remove(v)
-        c = ((seen[v] + 1) & ~seen[v]).bit_length() - 1
+        pick = uncolored
+        s = 0
+        for plane in saturation:
+            s += s
+            top = pick & plane
+            if top:
+                pick = top
+                s += 1
+        for plane in degree:
+            top = pick & plane
+            if top:
+                pick = top
+        bit = pick & -pick
+        uncolored ^= bit
+        if s == len(near):  # every color so far is on a neighbor
+            c = s
+            near.append(0)
+        else:
+            c = 0
+            while near[c] & bit:
+                c += 1
+        v = bit.bit_length() - 1
         colors[v] = c
-        bit = 1 << c
-        for u in g.adjacency[v]:
-            if colors[u] < 0:
-                priority[u] -= 1
-                if not seen[u] & bit:
-                    seen[u] |= bit
-                    priority[u] += n
+        mask = masks[v]
+        borrow = touched = mask & uncolored
+        j = top_plane
+        # each vertex in `touched` counts v, so its count is at least 1 and
+        # the borrow ends within the planes
+        while borrow:
+            degree[j] = plane = degree[j] ^ borrow
+            borrow &= plane  # a bit that went from 0 to 1 borrows on
+            j -= 1
+        was = near[c]
+        near[c] = now = was | mask
+        carry = touched & (now ^ was)
+        j = len(saturation) - 1
+        while carry:
+            if j < 0:
+                saturation.insert(0, carry)
+                break
+            plane = saturation[j]
+            saturation[j] = plane ^ carry
+            carry &= plane
+            j -= 1
     return colors
+
+
+def _count(masks: tuple[int, ...]) -> list[int]:
+    """The bit-sliced counter, most significant plane first, of how many of
+    `masks` hold each vertex: every mask is added in a carry chain."""
+    planes: list[int] = []  # least significant first while adding
+    for carry in masks:
+        j = 0
+        for plane in planes:
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+            j += 1
+        if carry:  # a carry out of the top plane
+            planes.append(carry)
+    planes.reverse()
+    return planes
 
 
 def chromatic_lower_bound(g: Graph, upper: int) -> int:

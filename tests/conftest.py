@@ -148,7 +148,8 @@ def hub_graphs(draw, min_n=10, max_n=20):
     random graph on the other vertices (the core). Once one hub is colored,
     its leaves are saturated with one uncolored neighbor each, while the other
     hub, unsaturated, has more than n / 2; the core, lower in index, is
-    colored in between. A saturation weight below n ranks them wrongly."""
+    colored in between. A rank that lets uncolored degree outweigh
+    saturation picks the other hub first."""
     n = draw(st.integers(min_n, max_n))
     core = n - (n // 2 + 2)
     a, b = draw(st.lists(st.integers(0, core - 1), min_size=2, max_size=2, unique=True))

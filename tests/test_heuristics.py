@@ -33,9 +33,9 @@ class TestDsatur:
             assert color_count(coloring) == 2
             assert chromatic_number_exact(g)[0] == 2
 
-    def test_edgeless_uses_one_color(self):
-        g = build_graph(6, [])
-        assert dsatur(g) == [0] * 6
+    @pytest.mark.parametrize("n", [6, 40])  # 40 bits span two int digits
+    def test_edgeless_uses_one_color(self, n):
+        assert dsatur(build_graph(n, [])) == [0] * n
 
     def test_empty_graph(self):
         assert dsatur(build_graph(0, [])) == []
@@ -67,8 +67,9 @@ class TestDsatur:
         assert color_count(coloring) >= record.best_known_colors == 44
 
     # graphs where most choices are ties, broken by the lowest index
-    def test_complete(self):
-        assert dsatur(complete_graph(5)) == [0, 1, 2, 3, 4]
+    @pytest.mark.parametrize("n", [5, 70])  # at 70 the saturation counter has 7 planes
+    def test_complete(self, n):
+        assert dsatur(complete_graph(n)) == list(range(n))
 
     def test_even_cycle(self):
         assert dsatur(cycle_graph(6)) == [0, 1, 0, 1, 0, 1]
@@ -105,6 +106,26 @@ class TestDsatur:
         # random graphs rarely leave a saturated vertex more than n / 2 below
         # an unsaturated one in uncolored degree; hub pairs do
         assert dsatur(g) == reference_dsatur(g)
+
+    # a CPython int digit holds 30 bits, so these bitsets and counter planes
+    # span two to three digits
+    @given(graphs(min_n=31, max_n=90))
+    @settings(deadline=None)
+    def test_matches_the_rule_past_one_int_digit(self, g):
+        assert dsatur(g) == reference_dsatur(g)
+
+    @given(hub_graphs(min_n=65, max_n=90))
+    @settings(deadline=None, max_examples=25)
+    def test_matches_the_rule_across_large_degree_gaps_past_two_int_digits(self, g):
+        assert dsatur(g) == reference_dsatur(g)
+
+    def test_saturation_falls_back_to_zero_between_components(self):
+        # K4 on 0-3, C5 on 4-8, then 3 isolated vertices: once the K4 is
+        # colored, every uncolored vertex has saturation 0 again
+        k4 = list(itertools.combinations(range(4), 2))
+        c5 = [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+        g = build_graph(12, k4 + c5)
+        assert dsatur(g) == reference_dsatur(g) == [0, 1, 2, 3, 0, 1, 0, 1, 2, 0, 0, 0]
 
 
 def brute_clique_number(g) -> int:
