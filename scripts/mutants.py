@@ -39,6 +39,7 @@ CLOCK = "src/chroma/clock.py"
 CLIMB_KERNEL = "tests/test_search.py::TestMoveKernel::test_hill_climbing"
 TS_KERNEL = "tests/test_search.py::TestMoveKernel::test_tabu_search"
 GOLDEN = "tests/test_golden.py::test_golden_trajectory"
+ORACLE = "tests/test_acceptance.py::test_criterion_2_oracle_equivalence_at_desk_scale"
 REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
                "test_report_malformed_row_exits_2_naming_its_line")
 STRICT_CASES = "tests/test_dimacs.py::TestStrictPath::test_agrees_on_the_edge_cases"
@@ -122,7 +123,7 @@ MUTANTS = [
            "if hits == 1:\n                pass\n",
            ("tests/test_search.py::TestConflictState::test_matches_recount_after_every_apply",)),
     Mutant("_climb: plateau moves rejected", SEARCH,
-           "\n        if d > 0:\n", "\n        if d >= 0:\n", (CLIMB_KERNEL, GOLDEN)),
+           "\n        if d > 0:\n", "\n        if d >= 0:\n", (CLIMB_KERNEL, GOLDEN, ORACLE)),
     Mutant("ILS: a kick of 10% of the vertices", SEARCH,
            "_KICK_FRACTION = 0.05", "_KICK_FRACTION = 0.1",
            ("tests/test_search.py::TestIteratedLocalSearch::"
@@ -136,11 +137,13 @@ MUTANTS = [
     Mutant("tabu_search: tabu list one longer than ts_tabu_length", SEARCH,
            "deque(maxlen=params.ts_tabu_length)", "deque(maxlen=params.ts_tabu_length + 1)",
            ("tests/test_acceptance.py::test_criterion_7_fifo_memory_invariants", TS_KERNEL)),
-    Mutant("ILS: a kick after the last climb", SEARCH,
-           "        current = None  # the next climb, if one runs, starts from a kick\n",
-           "        current = _perturb(best, k, rng)\n",
+    Mutant("tabu_search: moves to its worst non-tabu candidate", SEARCH,
+           "if chosen is None or d < chosen[0]:", "if chosen is None or d > chosen[0]:",
+           (ORACLE, TS_KERNEL)),
+    Mutant("ILS: the first climb starts from a kick", SEARCH,
+           "if evals > 1:", "if evals >= 1:",
            ("tests/test_search.py::TestIteratedLocalSearch::"
-            "test_a_kick_is_drawn_only_for_a_climb_that_runs",)),
+            "test_a_kick_is_drawn_only_for_a_climb_that_runs", GOLDEN)),
     Mutant("ILS: adopts results of equal conflicts", SEARCH,
            "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
            ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),

@@ -24,7 +24,7 @@ the rejection draw that `random.Random.randrange(m)` makes on Python 3.10
 to 3.13: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
 the color draw is randrange(1), which still takes one bit per move. The rng
 stream, and so every seeded trajectory, is the one `randrange` would give.
-`_perturb`, ILS's kick, still calls the stdlib's `sample` and `randrange`.
+`_perturb`, ILS's kick, calls the stdlib's `sample` and `randrange`.
 
 Every method is deterministic given (graph, params, seed), except that a real
 wall clock may cut time-driven loops at machine-dependent points; under the
@@ -412,22 +412,19 @@ def iterated_local_search(g: Graph, k: int, init: Sequence[int], params: SolverP
     best = list(state.colors)
     best_conf = state.total
     stop_at = min(t0 + params.ils_total_seconds, deadline)
-    current = best  # the first climb starts from the unperturbed init
     while best_conf > 0 and (now := clock.now()) < stop_at:
-        if current is None:  # a kick, drawn only for a climb that runs
-            current = _perturb(best, k, rng)
+        if evals > 1:  # every climb after the first starts from a kick
+            state = _ConflictState(g, k, _perturb(best, k, rng))
         inner_stop = min(now + params.ils_inner_seconds, deadline)
-        inner_state = _ConflictState(g, k, current)
         clock.tick()
         evals += 1
         inner_best, inner_conf, inner_evals = _climb(
-            k, inner_state, rng=rng, clock=clock, stop_at=inner_stop,
+            k, state, rng=rng, clock=clock, stop_at=inner_stop,
         )
         evals += inner_evals
         if inner_conf < best_conf:
             best_conf = inner_conf
             best = inner_best
-        current = None  # the next climb, if one runs, starts from a kick
     return SearchOutcome(best, best_conf, evals, clock.now() - t0)
 
 
