@@ -1,7 +1,9 @@
 """Checks of what lives beside the code: the committed DSJC manifest, and the
 mutant table of scripts/mutants.py, whose replacement texts must still be
-found in the source. No script is run here."""
+found in the source and whose named tests must still be defined. No script
+is run here."""
 
+import ast
 import importlib.util
 
 from chroma import SolverParams
@@ -22,13 +24,37 @@ def test_dsjc_manifest_names_the_protocol_cells():
     assert manifest.references_path is None
 
 
-def test_every_mutant_names_text_found_once_and_existing_test_files():
-    # the mutants themselves run in a CI job of their own; this keeps their
-    # replacement texts from drifting away from the source unseen
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    for mutant in mutants.MUTANTS:
+    return mutants.MUTANTS
+
+
+def test_every_mutant_names_text_found_once_and_existing_test_files():
+    # the mutants themselves run in a CI job of their own; this keeps their
+    # replacement texts from drifting away from the source unseen
+    for mutant in load_mutants():
         source = (REPO_ROOT / mutant.path).read_text(encoding="utf-8")
         assert source.count(mutant.old) == 1, mutant.name
         assert all((REPO_ROOT / test.split("::")[0]).exists() for test in mutant.tests)
+
+
+def test_every_test_a_mutant_names_is_defined():
+    # a renamed or deleted test would leave its id in the table, and the
+    # mutant run would then select nothing for that mutant
+    def defined(body, names):
+        if not names:
+            return True
+        return any(isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name == names[0]
+                   and defined(node.body if isinstance(node, ast.ClassDef) else [],
+                               names[1:])
+                   for node in body)
+
+    for mutant in load_mutants():
+        for test in mutant.tests:
+            path, *names = test.split("::")
+            names = [name.split("[")[0] for name in names if name]
+            tree = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
+            assert defined(tree.body, names), f"{mutant.name}: {test}"
