@@ -61,6 +61,8 @@ EMPTY_SKIPPED = ("tests/test_bench.py::TestRunBenchmark::"
                  "tests/test_cli.py::TestBenchAndReport::"
                  "test_an_empty_instance_is_skipped_and_the_run_continues")
 
+MASKS_REFERENCE = ("tests/test_graph.py::TestNeighborMasks::"
+                   "test_equal_a_set_of_pairs_reference")
 DSATUR_RULE = "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_read_literally"
 DSATUR_WIDE = "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_past_one_int_digit"
 
@@ -143,7 +145,8 @@ MUTANTS = [
     Mutant("ILS: the first climb starts from a kick", SEARCH,
            "if evals > 1:", "if evals >= 1:",
            ("tests/test_search.py::TestIteratedLocalSearch::"
-            "test_a_kick_is_drawn_only_for_a_climb_that_runs", GOLDEN)),
+            "test_a_kick_is_drawn_only_for_a_climb_that_runs",
+            "tests/test_search.py::TestMoveKernel::test_iterated_local_search", GOLDEN)),
     Mutant("ILS: adopts results of equal conflicts", SEARCH,
            "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
            ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),
@@ -308,11 +311,30 @@ MUTANTS = [
            'command.register("type", float, _number)', "pass",
            ("tests/test_cli.py::TestSolve::"
             "test_a_float_flag_float_reads_but_chroma_does_not_exits_2",)),
-    Mutant("graph_from_endpoints: duplicate neighbors kept", GRAPH,
-           "tuple(sorted(set(neighbors)))", "tuple(sorted(neighbors))",
-           ("tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",
+    Mutant("graph_from_endpoints: the builder XORs instead of ORs", GRAPH,
+           "        masks[u] |= bit[v]\n        masks[v] |= bit[u]\n",
+           "        masks[u] ^= bit[v]\n        masks[v] ^= bit[u]\n",
+           (MASKS_REFERENCE,
+            "tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",
             "tests/test_graph.py::TestBuildGraph::test_reversed_duplicate_collapses",
             "tests/test_dimacs.py::TestLoadInstance::test_duplicate_edges_collapse_into_graph")),
+    Mutant("graph_from_endpoints: edge_count not halved", GRAPH,
+           "sum(map(int.bit_count, masks)) // 2", "sum(map(int.bit_count, masks))",
+           (MASKS_REFERENCE, "tests/test_graph.py::TestBuildGraph::test_triangle")),
+    Mutant("is_proper: each vertex tested against the previous vertex's class", GRAPH,
+           "if masks[v] & classes[c]:", "if masks[v] & classes[colors[v - 1]]:",
+           ("tests/test_graph.py::TestConflicts::"
+            "test_is_proper_matches_a_recount_of_the_raw_edges",
+            "tests/test_graph.py::TestProperness::test_distinct_triangle")),
+    Mutant("project_coloring: vertices colored >= k counted in the top class", SEARCH,
+           "        if c < k:\n            classes[c] |= 1 << v\n",
+           "        classes[min(c, k - 1)] |= 1 << v\n",
+           ("tests/test_search.py::TestProjectColoring::"
+            "test_matches_the_docstring_read_literally",)),
+    Mutant("_k_colorable: a backtracked vertex left in its class", HEURISTICS,
+           "            classes[c] ^= bit\n", "            pass\n",
+           ("tests/test_heuristics.py::TestDsatur::test_bipartite_is_colored_exactly",
+            "tests/test_heuristics.py::TestDsatur::test_never_beats_the_chromatic_number")),
 ]
 
 

@@ -1,6 +1,6 @@
 """Graph vertex coloring via single-state metaheuristics.
 
-Core surface: an immutable adjacency-list Graph, DIMACS .col parsing, the
+Core surface: an immutable Graph of neighbor bitsets, DIMACS .col parsing, the
 DSatur coloring, a chromatic lower bound (exact up to 16 vertices), an exact
 small-graph chromatic-number oracle, four fixed-palette conflict-minimization
 searches (HC, SA, TS, ILS) under a k-reduction driver, and a benchmark

@@ -46,8 +46,9 @@ BEST_KNOWN_COLORS: dict[str, int] = {
 }
 
 # The most vertices a file may declare: 5x the largest DIMACS coloring graph.
-# Graph.neighbor_masks takes up to n^2/8 bytes (about 312 MB here), so a
-# larger p line is refused before anything is sized by it.
+# A loaded graph holds its neighbor masks, up to n^2/8 bytes (about 312 MB
+# here), from the load on, so a larger p line is refused before anything is
+# sized by it.
 MAX_VERTICES = 50_000
 
 

@@ -19,43 +19,43 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph in adjacency-list form.
+    """Undirected simple graph stored as one int bitset per vertex.
 
-    Adjacency lists are sorted ascending and contain no duplicates or
-    self-loops; the structure is immutable and safe to share across
-    concurrent solver runs.
+    neighbor_masks[v] has bit u set exactly when u is a neighbor of v; no
+    mask holds its own vertex, and u is in v's mask exactly when v is in
+    u's. Equality, hashing and repr follow the masks. The structure is
+    immutable and safe to share across concurrent solver runs; DSatur, the
+    clique bound, the exact oracle, projection, `is_proper` and every search
+    read the masks alone.
 
-    `neighbor_masks` is the same adjacency as one int bitset per vertex. It
-    is a lazy cache, built on first use and never at construction: it is not
-    a field, so it takes no part in equality, hashing or repr. The
+    `adjacency` is a derived view for readers outside the solve path. The
     k-reduction's start (`chroma.search.dsatur_start`: DSatur's coloring, its
-    color count and the chromatic lower bound) is a second cache of the same
-    kind, kept in the instance __dict__ beside it; a pickled graph carries
-    both.
+    color count and the chromatic lower bound) is a cache kept in the
+    instance __dict__, so it takes no part in equality, hashing or repr, and
+    a pickled graph carries it.
     """
 
     vertex_count: int
     edge_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    neighbor_masks: tuple[int, ...]
 
     @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """masks[v] has bit u set exactly when u is a neighbor of v.
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """adjacency[v] lists v's neighbors in increasing order.
 
-        DSatur, the clique bound and the search moves all read them, so even
-        a bare `dsatur(g)` builds them, at n^2/8 bytes.
+        Read off the masks on first use and then cached. It costs more than
+        building the masks did, so nothing in the package reads it.
         """
-        # int() parses a binary digit string per vertex: on dense graphs this
-        # is 2-3x faster than summing one shifted bit per neighbor
-        zeros = b"0" * self.vertex_count
-        masks = []
-        for neighbors in self.adjacency:
-            digits = bytearray(zeros)
-            for u in neighbors:
-                digits[u] = 49  # ord("1")
-            digits.reverse()  # digit u from the right is bit u
-            masks.append(int(digits, 2))
-        return tuple(masks)
+        lists = []
+        for mask in self.neighbor_masks:
+            digits = f"{mask:b}"[::-1]  # digit u is bit u
+            neighbors = []
+            u = digits.find("1")
+            while u >= 0:
+                neighbors.append(u)
+                u = digits.find("1", u + 1)
+            lists.append(tuple(neighbors))
+        return tuple(lists)
 
 
 def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -84,16 +84,19 @@ def graph_from_endpoints(vertex_count: int, us: Sequence[int],
                          vs: Sequence[int]) -> Graph:
     """The graph whose edge i joins us[i] and vs[i], duplicates collapsed.
 
-    The endpoints are trusted, not checked: each must lie in
-    [0, vertex_count) and no edge may be a self-loop. `build_graph` checks
-    them for any caller; both DIMACS parse paths refuse every other edge.
+    Each edge sets one bit in each endpoint's mask; OR-ing a bit in again
+    changes nothing, so a duplicate edge, in either orientation, collapses
+    with no step of its own. The endpoints are trusted, not checked: each
+    must lie in [0, vertex_count) and no edge may be a self-loop.
+    `build_graph` checks them for any caller; both DIMACS parse paths refuse
+    every other edge.
     """
-    lists: list[list[int]] = [[] for _ in range(vertex_count)]
+    bit = [1 << v for v in range(vertex_count)]
+    masks = [0] * vertex_count
     for u, v in zip(us, vs):
-        lists[u].append(v)
-        lists[v].append(u)
-    adjacency = tuple(tuple(sorted(set(neighbors))) for neighbors in lists)
-    return Graph(vertex_count, sum(map(len, adjacency)) // 2, adjacency)
+        masks[u] |= bit[v]
+        masks[v] |= bit[u]
+    return Graph(vertex_count, sum(map(int.bit_count, masks)) // 2, tuple(masks))
 
 
 def _check_length(g: Graph, colors: Sequence[int]) -> None:
@@ -104,13 +107,19 @@ def _check_length(g: Graph, colors: Sequence[int]) -> None:
 
 
 def is_proper(g: Graph, colors: Sequence[int]) -> bool:
-    """True iff no edge joins two vertices of the same color."""
+    """True iff no edge joins two vertices of the same color.
+
+    Each color's class is one bitset, built from `colors`; a vertex's mask
+    AND its own class holds exactly its same-colored neighbors.
+    """
     _check_length(g, colors)
-    for u in range(g.vertex_count):
-        cu = colors[u]
-        for v in g.adjacency[u]:
-            if v > u and colors[v] == cu:
-                return False
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    masks = g.neighbor_masks
+    for v, c in enumerate(colors):
+        if masks[v] & classes[c]:
+            return False
     return True
 
 

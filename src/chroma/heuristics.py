@@ -165,25 +165,30 @@ def _clique_number(g: Graph) -> int:
 def _k_colorable(g: Graph, k: int, order: list[int]) -> Optional[Coloring]:
     """Backtracking witness search for a proper k-coloring, or None.
 
-    Color symmetry is broken by never introducing more than one new color
-    per branch point.
+    classes[c] is the bitset of the vertices colored c so far, so c is free
+    for v when v's mask misses it. Color symmetry is broken by never
+    introducing more than one new color per branch point.
     """
     n = g.vertex_count
+    masks = g.neighbor_masks
     colors: Coloring = [-1] * n
+    classes = [0] * k
 
     def assignable(idx: int, used: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        forbidden = {colors[u] for u in g.adjacency[v] if colors[u] >= 0}
+        mask = masks[v]
+        bit = 1 << v
         top = min(k - 1, used)  # `used` doubles as the first fresh color index
         for c in range(top + 1):
-            if c in forbidden:
+            if mask & classes[c]:
                 continue
             colors[v] = c
+            classes[c] |= bit
             if assignable(idx + 1, max(used, c + 1)):
                 return True
-            colors[v] = -1
+            classes[c] ^= bit
         return False
 
     return list(colors) if assignable(0, 0) else None
@@ -205,7 +210,8 @@ def chromatic_number_exact(g: Graph, limit: int = EXACT_VERTEX_LIMIT) -> tuple[i
     if n == 0:
         return 0, []
     # high-degree-first ordering fails sooner on infeasible k
-    order = sorted(range(n), key=lambda v: len(g.adjacency[v]), reverse=True)
+    masks = g.neighbor_masks
+    order = sorted(range(n), key=lambda v: masks[v].bit_count(), reverse=True)
     k = 1
     while True:
         witness = _k_colorable(g, k, order)

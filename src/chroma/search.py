@@ -439,23 +439,32 @@ _METHOD_FUNCS = {
 def project_coloring(g: Graph, colors: Sequence[int], k: int) -> Coloring:
     """Force a coloring into palette {0..k-1}: every vertex colored >= k is
     reassigned, in index order, to its least-conflicting color (lowest color
-    wins ties)."""
+    wins ties).
+
+    A color's conflicts for v are v's neighbors in that color's class, which
+    holds the vertices colored below k and gains each vertex reassigned to
+    it, so a vertex still colored >= k counts for no color.
+    """
     if k < 1:
         raise ValueError("cannot project onto an empty palette")
     out = list(colors)
-    for v in range(g.vertex_count):
-        if out[v] >= k:
-            counts = [0] * k
-            for u in g.adjacency[v]:
-                cu = out[u]
-                if cu < k:
-                    counts[cu] += 1
-            out[v] = min(range(k), key=counts.__getitem__)
+    masks = g.neighbor_masks
+    classes = [0] * k
+    for v, c in enumerate(out):
+        if c < k:
+            classes[c] |= 1 << v
+    for v, c in enumerate(out):
+        if c >= k:
+            mask = masks[v]
+            counts = [(mask & members).bit_count() for members in classes]
+            new = counts.index(min(counts))
+            out[v] = new
+            classes[new] |= 1 << v
     return out
 
 
 # The instance __dict__ key of a graph's cached start, beside the one
-# cached_property gives `neighbor_masks`.
+# cached_property gives the derived `adjacency` view.
 _START_KEY = "_dsatur_start"
 
 
@@ -463,10 +472,11 @@ def dsatur_start(g: Graph) -> tuple[tuple[int, ...], int, int]:
     """(DSatur's coloring, its color count k, `chromatic_lower_bound(g, k)`)
     of a nonempty graph, computed on the first call and cached on `g`.
 
-    The cache sits in the graph's instance __dict__, as `neighbor_masks`
-    does, so it takes no part in equality, hashing or repr, a pickled graph
-    carries it, and an equal but distinct graph computes its own. DSatur and
-    the bound are reached through this module's globals.
+    The cache sits in the graph's instance __dict__, outside the fields, so
+    it takes no part in equality, hashing or repr, a pickled graph carries
+    it, and an equal but distinct graph computes its own. DSatur and the
+    bound read only the graph's neighbor masks, which it holds from the
+    start, and are reached through this module's globals.
     """
     if g.vertex_count == 0:
         raise ValueError("cannot color an empty graph")

@@ -181,38 +181,56 @@ def reference_recolor(g, k, colors, rng):
     return moved, conflict_count(g, moved)
 
 
-def reference_climb(g, accepted):
-    """A stand-in for chroma.search._climb on graph g, with its signature and
-    contract read literally: each move drawn by reference_draw_move and
-    costed by recounting the moved coloring. Only the state's colors are
-    read, and the state is left as it was; each accepted move appends the
+def reference_descent(g, k, colors, accepted, *, rng, clock, iterations=sys.maxsize,
+                      stop_at=math.inf, t_initial=0.0, decrement=0.0):
+    """chroma.search._climb's contract read literally, on a plain coloring:
+    each move drawn by reference_draw_move and costed by recounting the moved
+    coloring. Returns what _climb does; each accepted move appends the
     conflicts after it to `accepted`, as `spy_accepted_conflicts` records
     the real loop's."""
-    def climb(k, state, *, rng, clock, iterations=sys.maxsize, stop_at=math.inf,
-              t_initial=0.0, decrement=0.0):
-        colors = list(state.colors)
-        conf = conflict_count(g, colors)
-        best, best_conf = list(colors), conf
-        i = 0
-        while best_conf > 0 and i < iterations:
-            if clock.now() >= stop_at:
-                break
-            i += 1
-            moved, moved_conf = reference_recolor(g, k, colors, rng)
-            d = moved_conf - conf
-            clock.tick()
-            if d > 0:
-                t = t_initial - i * decrement
-                accept = t > 0.0 and rng.random() < math.exp(-d / t)
-            else:
-                accept = True
-            if accept:
-                colors, conf = moved, moved_conf
-                if conf < best_conf:
-                    best, best_conf = list(colors), conf
-                accepted.append(conf)
-        return best, best_conf, i
+    colors = list(colors)
+    conf = conflict_count(g, colors)
+    best, best_conf = list(colors), conf
+    i = 0
+    while best_conf > 0 and i < iterations:
+        if clock.now() >= stop_at:
+            break
+        i += 1
+        moved, moved_conf = reference_recolor(g, k, colors, rng)
+        d = moved_conf - conf
+        clock.tick()
+        if d > 0:
+            t = t_initial - i * decrement
+            accept = t > 0.0 and rng.random() < math.exp(-d / t)
+        else:
+            accept = True
+        if accept:
+            colors, conf = moved, moved_conf
+            if conf < best_conf:
+                best, best_conf = list(colors), conf
+            accepted.append(conf)
+    return best, best_conf, i
+
+
+def reference_climb(g, accepted):
+    """A stand-in for chroma.search._climb on graph g, with its signature:
+    reference_descent from the state's colors. Only those are read, and the
+    state is left as it was."""
+    def climb(k, state, **bounds):
+        return reference_descent(g, k, state.colors, accepted, **bounds)
     return climb
+
+
+def reference_kick(colors, k, rng):
+    """chroma.search._perturb read literally: ceil(5% of n) distinct
+    vertices, drawn by rng.sample, each recolored to a uniform other color
+    by rng.randrange."""
+    out = list(colors)
+    n = len(out)
+    for v in rng.sample(range(n), min(n, math.ceil(0.05 * n))):
+        r = rng.randrange(k - 1)
+        out[v] = r if r < out[v] else r + 1
+    return out
 
 
 def reference_ts_sample(g, k, colors, rng, clock, num_tweaks, fingerprint, tabu):

@@ -370,8 +370,11 @@ class TestLoadInstance:
 
     def test_duplicate_edges_collapse_into_graph(self, tmp_path):
         path = tmp_path / "dup.col"
-        path.write_text("p edge 4 3\ne 1 2\ne 2 1\ne 1 2\n")
-        assert load_instance(path).graph.edge_count == 1
+        # an edge given three times and one given twice, in both orientations
+        path.write_text("p edge 4 5\ne 1 2\ne 2 1\ne 1 2\ne 3 4\ne 4 3\n")
+        graph = load_instance(path).graph
+        assert graph.edge_count == 2
+        assert graph.neighbor_masks == (0b0010, 0b0001, 0b1000, 0b0100)
 
     def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.col"

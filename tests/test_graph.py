@@ -1,11 +1,14 @@
 import pickle
 import re
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chroma import GraphError, build_graph, color_count, is_proper, random_graph
+from chroma import Graph, GraphError, build_graph, color_count, is_proper, random_graph
+from chroma.graph import graph_from_endpoints
+from chroma.search import _START_KEY, dsatur_start
 
 from conftest import (brute_conflicted, brute_conflicts, colored_graphs,
                       conflict_count, conflicted_vertices, edge_lists, graphs,
@@ -16,6 +19,7 @@ class TestBuildGraph:
     def test_triangle(self, k3):
         assert k3.vertex_count == 3
         assert k3.edge_count == 3
+        assert k3.neighbor_masks == (0b110, 0b101, 0b011)
         assert k3.adjacency == ((1, 2), (0, 2), (0, 1))
 
     def test_duplicate_edges_collapse(self):
@@ -62,13 +66,12 @@ class TestBuildGraph:
     @given(edge_lists(max_n=10))
     def test_invariants(self, drawn):
         n, edges = drawn
-        g = build_graph(n, edges)
-        for u, neighbors in enumerate(g.adjacency):
-            assert list(neighbors) == sorted(set(neighbors)), "sorted, no duplicates"
-            assert u not in neighbors
-            for v in neighbors:
-                assert u in g.adjacency[v], "symmetry"
-        assert g.edge_count * 2 == sum(len(a) for a in g.adjacency)
+        masks = build_graph(n, edges).neighbor_masks
+        for u, mask in enumerate(masks):
+            assert not mask >> u & 1, "no self-loop"
+            assert 0 <= mask < 1 << n
+            for v in range(n):
+                assert (mask >> v & 1) == (masks[v] >> u & 1), "symmetry"
 
     @given(edge_lists(min_n=2, max_n=10), st.randoms(use_true_random=False))
     def test_edge_order_insensitive(self, drawn, rnd):
@@ -78,34 +81,63 @@ class TestBuildGraph:
         assert build_graph(n, edges) == build_graph(n, shuffled)
 
 
+def reference_graph(n, edges):
+    """(masks, edge count) read off a literal set of unordered pairs."""
+    pairs = {frozenset(edge) for edge in edges}
+    masks = tuple(sum(1 << u for u in range(n) if frozenset((u, v)) in pairs)
+                  for v in range(n))
+    return masks, len(pairs)
+
+
 class TestNeighborMasks:
+    @settings(deadline=None)
+    @given(edge_lists(max_n=40))
+    # duplicates in both orientations, and a vertex past the first int digit
+    @example((4, [(1, 0), (0, 1), (1, 0), (3, 2), (2, 3), (0, 1), (2, 0)]))
+    @example((40, [(0, 39), (39, 0), (31, 30), (30, 31), (30, 31)]))
+    def test_equal_a_set_of_pairs_reference(self, drawn):
+        n, edges = drawn
+        g = graph_from_endpoints(n, [u for u, _ in edges], [v for _, v in edges])
+        assert (g.neighbor_masks, g.edge_count) == reference_graph(n, edges)
+        assert build_graph(n, edges) == g
+
     @staticmethod
-    def assert_masks_match(g):
+    def assert_adjacency_view_matches(g):
         masks = g.neighbor_masks
-        assert len(masks) == g.vertex_count
+        assert len(masks) == len(g.adjacency) == g.vertex_count
         for v, neighbors in enumerate(g.adjacency):
             assert [u for u in range(g.vertex_count) if masks[v] >> u & 1] == list(neighbors)
 
     @given(graphs())
     def test_bit_set_exactly_for_neighbors(self, g):
-        self.assert_masks_match(g)
+        self.assert_adjacency_view_matches(g)
 
     def test_empty_graph(self):
-        assert build_graph(0, []).neighbor_masks == ()
+        g = build_graph(0, [])
+        assert g.neighbor_masks == () and g.adjacency == ()
 
     def test_seventy_vertices(self):
-        self.assert_masks_match(random_graph(70, 0.5, seed=4))
+        self.assert_adjacency_view_matches(random_graph(70, 0.5, seed=4))
 
-    def test_built_lazily_and_cached(self):
-        g = random_graph(20, 0.5, seed=1)
-        assert "neighbor_masks" not in vars(g)
-        assert g.neighbor_masks is g.neighbor_masks
+    def test_masks_are_the_field(self):
+        g = build_graph(3, [(0, 1)])
+        assert [f.name for f in fields(Graph)] == ["vertex_count", "edge_count",
+                                                   "neighbor_masks"]
+        assert vars(g) == {"vertex_count": 3, "edge_count": 1,
+                           "neighbor_masks": (0b010, 0b001, 0b000)}
+        # equality and hashing follow the masks
+        same = Graph(3, 1, (0b010, 0b001, 0b000))
+        assert same == g and hash(same) == hash(g)
+        assert build_graph(3, [(1, 2)]) != g
+        # the adjacency view is built on first read, then kept
+        assert g.adjacency is g.adjacency == ((1,), (0,), ())
 
-    @pytest.mark.parametrize("built", [False, True])
-    def test_equality_hash_and_pickling_ignore_the_cache(self, built):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_equality_hash_and_pickling_ignore_the_cache(self, warm):
         g = random_graph(70, 0.3, seed=2)
-        if built:
-            assert len(g.neighbor_masks) == 70
+        if warm:
+            assert len(g.adjacency) == 70
+            start = dsatur_start(g)
         fresh = random_graph(70, 0.3, seed=2)
         assert g == fresh and fresh == g
         assert hash(g) == hash(fresh)
@@ -113,7 +145,10 @@ class TestNeighborMasks:
         restored = pickle.loads(pickle.dumps(g))
         assert restored == g
         assert hash(restored) == hash(g)
-        self.assert_masks_match(restored)
+        assert restored.neighbor_masks == g.neighbor_masks
+        if warm:  # the DSatur start travels with the graph
+            assert vars(restored)[_START_KEY] == start
+        self.assert_adjacency_view_matches(restored)
 
 
 class TestProperness:
@@ -149,6 +184,11 @@ class TestConflicts:
         _, edges, g, colors = drawn
         assert conflict_count(g, colors) == brute_conflicts(edges, colors)
         assert conflicted_vertices(g, colors) == brute_conflicted(edges, colors)
+
+    @given(colored_graphs(max_color=3))
+    def test_is_proper_matches_a_recount_of_the_raw_edges(self, drawn):
+        _, edges, g, colors = drawn
+        assert is_proper(g, colors) == (brute_conflicts(edges, colors) == 0)
 
     @given(colored_graphs())
     def test_properness_equivalences(self, drawn):

@@ -16,9 +16,9 @@ from chroma import (METHODS, Graph, SearchOutcome, SolverParams, VirtualClock,
                     random_graph, simulated_annealing, solve_k_reduction,
                     tabu_search)
 
-from conftest import (conflict_count, conflicted_vertices, graphs,
-                      reference_climb, reference_draw_move, reference_ts_sample,
-                      spy_accepted_conflicts)
+from conftest import (colored_graphs, conflict_count, conflicted_vertices, graphs,
+                      reference_climb, reference_descent, reference_draw_move,
+                      reference_kick, reference_ts_sample, spy_accepted_conflicts)
 
 
 def params(**overrides) -> SolverParams:
@@ -253,12 +253,40 @@ def reference_tabu_search(g, k, init, p, seed):
     return SearchOutcome(best, best_conf, evals, clock.now()), accepted
 
 
+def reference_iterated_local_search(g, k, init, p, seed, deadline=math.inf):
+    """iterated_local_search read literally from its docstring around
+    reference_descent and reference_kick, with every coloring's conflicts
+    recounted; returns what run_recorded does. Each climb's start is
+    counted as one evaluation, the first climb's too."""
+    clock = VirtualClock()
+    rng = random.Random(seed)
+    clock.tick()  # the initial coloring's evaluation
+    evals = 1
+    accepted = []
+    home, home_conf = list(init), conflict_count(g, init)
+    stop_at = min(p.ils_total_seconds, deadline)
+    first = True
+    while home_conf > 0 and clock.now() < stop_at:
+        # the first climb starts from init itself, each later one from a kick
+        start = list(init) if first else reference_kick(home, k, rng)
+        first = False
+        inner_stop = min(clock.now() + p.ils_inner_seconds, deadline)
+        clock.tick()
+        evals += 1
+        best, best_conf, moves = reference_descent(g, k, start, accepted, rng=rng,
+                                                   clock=clock, stop_at=inner_stop)
+        evals += moves
+        if best_conf < home_conf:
+            home, home_conf = best, best_conf
+    return SearchOutcome(home, home_conf, evals, clock.now()), accepted
+
+
 class TestMoveKernel:
-    """The inline move kernels of _climb and tabu_search against references
-    that draw with rng.randrange and recount every move's cost: the same
-    coloring, conflicts, evaluations, elapsed time and conflicts after each
-    accepted move. k = 2 is included, where each color draw is randrange(1),
-    one bit."""
+    """The inline move kernels of _climb and tabu_search, and ILS's driver
+    around _climb, against references that draw with rng.randrange and
+    recount every move's cost: the same coloring, conflicts, evaluations,
+    elapsed time and conflicts after each accepted move. k = 2 is included,
+    where each color draw is randrange(1), one bit."""
 
     @staticmethod
     def assert_climb_matches(search, case, p, **kwargs):
@@ -291,10 +319,14 @@ class TestMoveKernel:
                                   params(sa_iterations=300, sa_decrement=2 / 300))
 
     @settings(deadline=None)
-    @given(search_cases())
-    def test_iterated_local_search(self, case):
-        self.assert_climb_matches(iterated_local_search, case,
-                                  params(ils_inner_seconds=0.02, ils_total_seconds=0.2))
+    @given(search_cases(), st.sampled_from((math.inf, 0.15)))
+    def test_iterated_local_search(self, case, deadline):
+        # a 20-evaluation climb window in a 200-evaluation run: several
+        # kicked climbs, and a deadline of 150 cuts the last ones
+        g, k, init, seed = case
+        p = params(ils_inner_seconds=0.02, ils_total_seconds=0.2)
+        assert (run_recorded(iterated_local_search, g, k, init, p, seed, deadline=deadline)
+                == reference_iterated_local_search(g, k, init, p, seed, deadline))
 
     @settings(deadline=None)
     @given(search_cases(), st.integers(1, 12))
@@ -323,6 +355,23 @@ class TestProjectColoring:
         g = build_graph(3, [(0, 1), (0, 2)])
         # both palette colors conflict once: lowest index wins
         assert project_coloring(g, [2, 0, 1], 2) == [0, 0, 1]
+
+    @given(colored_graphs(), st.integers(1, 6))
+    def test_matches_the_docstring_read_literally(self, drawn, k):
+        # each vertex colored >= k, in index order, takes the palette color
+        # held by the fewest of its neighbors as they are colored by then,
+        # counted off the raw edge list; the lowest such color on a tie
+        n, edges, g, colors = drawn
+        neighbors = [set() for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+        expected = list(colors)
+        for v in range(n):
+            if expected[v] >= k:
+                counts = [sum(expected[u] == c for u in neighbors[v]) for c in range(k)]
+                expected[v] = min(range(k), key=lambda c: (counts[c], c))
+        assert project_coloring(g, colors, k) == expected
 
     @given(graphs(min_n=1, max_n=10), st.integers(1, 4))
     def test_result_always_within_palette(self, g, k):
@@ -692,7 +741,7 @@ class TestSolveKReduction:
                 new_coloring, new_k, new_trace = solve_k_reduction(g, method, p, seed=1)
                 with monkeypatch.context() as m:
                     m.setattr(search_module, "chromatic_lower_bound", lambda g, k: 2)
-                    fresh = Graph(g.vertex_count, g.edge_count, g.adjacency)
+                    fresh = Graph(g.vertex_count, g.edge_count, g.neighbor_masks)
                     old_coloring, old_k, old_trace = solve_k_reduction(fresh, method, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
@@ -809,7 +858,7 @@ class TestStartCache:
         assert sorted(start_calls) == start_of(*warm)
         assert any(trace for _, _, trace in results)  # levels ran from the start
         # each solve of a fresh equal graph computes its own start: same result
-        assert results == [solve_k_reduction(Graph(g.vertex_count, g.edge_count, g.adjacency),
+        assert results == [solve_k_reduction(Graph(g.vertex_count, g.edge_count, g.neighbor_masks),
                                              method, p, seed) for g, method, p, seed in cells]
 
     def test_returned_coloring_is_a_copy(self, k4):
@@ -823,7 +872,7 @@ class TestStartCache:
 
     def test_equal_distinct_graphs_each_compute_their_own(self, start_calls):
         a = random_graph(10, 0.5, seed=3)
-        b = Graph(a.vertex_count, a.edge_count, a.adjacency)
+        b = Graph(a.vertex_count, a.edge_count, a.neighbor_masks)
         assert a == b and a is not b
         for g in (a, b, a, b):
             solve_k_reduction(g, "HC", params(wall_budget_seconds=1.0), seed=1,
@@ -832,7 +881,7 @@ class TestStartCache:
 
     def test_cache_leaves_equality_hash_and_repr_alone(self):
         warm = random_graph(10, 0.5, seed=4)
-        cold = Graph(warm.vertex_count, warm.edge_count, warm.adjacency)
+        cold = Graph(warm.vertex_count, warm.edge_count, warm.neighbor_masks)
         search_module.dsatur_start(warm)
         assert warm == cold
         assert hash(warm) == hash(cold)
