@@ -45,6 +45,7 @@ REPORT_ROWS = ("tests/test_cli.py::TestBenchAndReport::"
 STRICT_CASES = "tests/test_dimacs.py::TestStrictPath::test_agrees_on_the_edge_cases"
 STRICT_FUZZ = "tests/test_dimacs.py::TestStrictPath::test_agrees_with_the_line_parser"
 MANIFEST_ERRORS = "tests/test_bench.py::TestManifest::test_rejects_malformed"
+EVERY_KEY = "tests/test_bench.py::TestManifest::test_every_key_reaches_params"
 INT_FLAGS = "tests/test_cli.py::TestSolve::test_an_int_flag_int_reads_but_dimacs_does_not_exits_2"
 ASCII_NUMBERS = ("tests/test_dimacs.py::TestParse::test_numbers_are_ascii_digits",
                  "tests/test_dimacs.py::TestReferenceTable::test_bad_count_names_its_line",
@@ -151,10 +152,17 @@ MUTANTS = [
            "if inner_conf < best_conf:", "if inner_conf <= best_conf:",
            ("tests/test_search.py::TestIteratedLocalSearch::test_each_new_home_base_has_fewer_conflicts",)),
     Mutant("parse_manifest: ts_num_tweaks parsed but dropped", BENCH,
-           "            overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
-           "            if key != 'ts_num_tweaks':\n"
-           "                overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)\n",
-           ("tests/test_bench.py::TestManifest::test_every_key_reaches_params",)),
+           "                overrides[name] = _PARSERS[PARAM_TYPES[name]](key, value)\n",
+           "                if name != 'ts_num_tweaks':\n"
+           "                    overrides[name] = _PARSERS[PARAM_TYPES[name]](key, value)\n",
+           (EVERY_KEY,)),
+    Mutant("PARAM_KEYS: no budget alias", BENCH,
+           '"budget" if name == "wall_budget_seconds" else name: name', "name: name",
+           (EVERY_KEY, "tests/test_cli.py::TestSolve::test_flags_are_the_solver_params_schema")),
+    # with no second check in the manifest, SolverParams alone refuses an inf
+    Mutant("SolverParams: finiteness test dropped", SEARCH,
+           "math.isfinite(value) and value > 0", "value > 0",
+           (MANIFEST_ERRORS, "tests/test_search.py::TestSolverParams::test_invalid_rejected")),
     Mutant("read_reference_table: duplicate-name check removed", DIMACS,
            "if parts[0] in first_lines:", "if False:",
            ("tests/test_dimacs.py::TestReferenceTable::test_a_name_listed_twice_names_both_lines",

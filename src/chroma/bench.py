@@ -137,28 +137,24 @@ class BenchManifest:
     references_path: Optional[str] = None
 
 
-# SolverParams fields a manifest key or a `chroma solve` flag of the same name
-# sets, with their declared types; wall_budget_seconds has a key and a flag of
-# its own (budget/--budget).
-PARAM_OVERRIDES = {name: kind for name, kind in PARAM_TYPES.items()
-                   if name != "wall_budget_seconds"}
+# Manifest key or `chroma solve` flag name -> the SolverParams field it sets:
+# budget sets wall_budget_seconds, and every other field is named for itself.
+PARAM_KEYS = {"budget" if name == "wall_budget_seconds" else name: name
+              for name in PARAM_TYPES}
 
 
-def _parse_int(where: str, key: str, text: str) -> int:
+def _parse_int(key: str, text: str) -> int:
     try:
         return _integer(text)
     except ValueError:
-        raise ValueError(f"{where}: {key} must be an integer, got {text!r}") from None
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
 
 
-def _parse_float(where: str, key: str, text: str) -> float:
+def _parse_float(key: str, text: str) -> float:
     try:
-        value = _number(text)
+        return _number(text)
     except ValueError:
-        raise ValueError(f"{where}: {key} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: {key} must be finite, got {text!r}")
-    return value
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
 
 
 # Declared type of a solver parameter -> parser of its manifest value.
@@ -168,66 +164,62 @@ _PARSERS = {int: _parse_int, float: _parse_float}
 def parse_manifest(path: str | Path) -> BenchManifest:
     """Parse a flat key=value manifest; '#' starts a comment, lists use commas.
 
-    Recognized keys: instances, methods, seeds, budget, references, and any
-    solver parameter name (hc_iterations, sa_decrement, ...). Results name
-    an instance by its file stem, so no two instances may share one. Seeds
-    and int parameters are ASCII digits with an optional minus sign, as in a
-    DIMACS file; the budget and float parameters are ASCII text without `_`
-    that float() reads. The solver parameters are checked together as SolverParams;
-    an error names the line of the last override it mentions.
+    Recognized keys: instances, methods, seeds, references, and the solver
+    parameters of PARAM_KEYS (budget, hc_iterations, sa_decrement, ...).
+    Results name an instance by its file stem, so no two instances may share
+    one. Seeds and int parameters are ASCII digits with an optional minus
+    sign, as in a DIMACS file; float parameters are ASCII text without `_`
+    that float() reads. Only SolverParams checks their ranges, all together;
+    its error names the line of the last key that set a field it mentions.
     """
     path = Path(path)
     instances: dict[str, str] = {}  # file stem -> instance path
     methods: list[str] = []
     seeds: list[int] = []
-    budget = SolverParams().wall_budget_seconds
     references = None
     overrides: dict = {}
-    override_lines: dict[str, int] = {}  # key -> the last line that set it
+    override_lines: dict[str, int] = {}  # field -> the last line that set it
     for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        where = f"{path}:{line_no}"
-        if key == "instances":
-            for inst in (v.strip() for v in value.split(",") if v.strip()):
-                stem = Path(inst).stem
-                if stem in instances:
-                    raise ValueError(f"{where}: instances {instances[stem]} and {inst} "
-                                     f"share the name {stem!r}")
-                instances[stem] = inst
-        elif key == "methods":
-            for m in (v.strip().upper() for v in value.split(",") if v.strip()):
-                if m not in METHODS:
-                    raise ValueError(f"{path}:{line_no}: unknown method {m!r}")
-                methods.append(m)
-        elif key == "seeds":
-            seeds.extend(_parse_int(where, key, v.strip())
-                         for v in value.split(",") if v.strip())
-        elif key == "budget":
-            budget = _parse_float(where, key, value)
-            if budget <= 0:
-                raise ValueError(f"{path}:{line_no}: budget must be finite and positive, "
-                                 f"got {value!r}")
-        elif key == "references":
-            if not value:
-                raise ValueError(f"{where}: references needs a file name")
-            references = value
-        elif key in PARAM_OVERRIDES:
-            overrides[key] = _PARSERS[PARAM_OVERRIDES[key]](where, key, value)
-            override_lines[key] = line_no
-        else:
-            raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key = value, got {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key == "instances":
+                for inst in (v.strip() for v in value.split(",") if v.strip()):
+                    stem = Path(inst).stem
+                    if stem in instances:
+                        raise ValueError(f"instances {instances[stem]} and {inst} "
+                                         f"share the name {stem!r}")
+                    instances[stem] = inst
+            elif key == "methods":
+                for m in (v.strip().upper() for v in value.split(",") if v.strip()):
+                    if m not in METHODS:
+                        raise ValueError(f"unknown method {m!r}")
+                    methods.append(m)
+            elif key == "seeds":
+                seeds.extend(_parse_int(key, v.strip()) for v in value.split(",") if v.strip())
+            elif key == "references":
+                if not value:
+                    raise ValueError("references needs a file name")
+                references = value
+            elif key in PARAM_KEYS:
+                name = PARAM_KEYS[key]
+                overrides[name] = _PARSERS[PARAM_TYPES[name]](key, value)
+                override_lines[name] = line_no
+            else:
+                raise ValueError(f"unknown manifest key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     try:
-        params = SolverParams(wall_budget_seconds=budget, **overrides)
+        params = SolverParams(**overrides)
     except ValueError as exc:
         words = set(re.findall(r"\w+", str(exc)))
-        lines = [n for key, n in override_lines.items() if key in words]
+        lines = [n for name, n in override_lines.items() if name in words]
         raise ValueError(f"{path}:{max(lines or override_lines.values())}: {exc}") from None
     if not instances:
         raise ValueError(f"{path}: manifest names no instances")
@@ -282,9 +274,9 @@ def run_cell(record: InstanceRecord, method: str, seed: int,
     )
 
 
-def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
-                  fmt: str = "csv", jobs: int = 1) -> tuple[list[RunResult], list[str]]:
-    """Execute every (instance x method x seed) cell.
+def run_benchmark(manifest: BenchManifest, jobs: int = 1) -> tuple[list[RunResult], list[str]]:
+    """Execute every (instance x method x seed) cell; write_results writes
+    the rows.
 
     Instances that fail to load, and empty graphs, which cannot be colored,
     are skipped and their errors, each naming its file, returned as a list;
@@ -313,8 +305,6 @@ def run_benchmark(manifest: BenchManifest, out: Optional[IO[str]] = None,
     else:
         rows = [run_cell(*cell) for cell in cells]
     rows.sort(key=lambda r: (r.instance, r.method, r.seed))
-    if out is not None:
-        write_results(rows, out, fmt)
     return rows, errors
 
 

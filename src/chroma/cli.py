@@ -15,13 +15,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import (PARAM_OVERRIDES, InternalInvariantError, compare_report,
+from .bench import (PARAM_KEYS, InternalInvariantError, compare_report,
                     parse_manifest, prepare_instance, read_results_csv,
-                    run_benchmark, run_cell)
-from .dimacs import (DimacsError, _integer, _number, load_instance,
-                     read_reference_table, read_utf8)
+                    run_benchmark, run_cell, write_results)
+from .dimacs import _integer, _number, load_instance, read_reference_table, read_utf8
 from .heuristics import EXACT_VERTEX_LIMIT, chromatic_number_exact
-from .search import METHODS, SolverParams
+from .search import METHODS, PARAM_TYPES, SolverParams
 
 
 def _positive_int(text: str) -> int:
@@ -43,11 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file", help="DIMACS .col instance")
     solve.add_argument("--method", required=True, choices=[m.lower() for m in METHODS])
     solve.add_argument("--seed", type=int, default=1)
-    solve.add_argument("--budget", type=float, default=defaults.wall_budget_seconds,
-                       help=f"wall budget in seconds (default {defaults.wall_budget_seconds:g})")
     solve.add_argument("--references", help="override best-known color table")
-    for name, kind in PARAM_OVERRIDES.items():
-        solve.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
+    for key, name in PARAM_KEYS.items():
+        solve.add_argument("--" + key.replace("_", "-"), dest=name, metavar=key.upper(),
+                           type=PARAM_TYPES[name], default=None,
                            help=f"default: {getattr(defaults, name)}")
 
     bench = sub.add_parser("bench", help="run a benchmark manifest")
@@ -74,12 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> SolverParams:
-    overrides = {"wall_budget_seconds": args.budget}
-    for name in PARAM_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    return SolverParams(**overrides)
+    values = {name: getattr(args, name) for name in PARAM_KEYS.values()}
+    return SolverParams(**{name: v for name, v in values.items() if v is not None})
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -97,9 +91,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
     out_path = Path(args.out)
-    fmt = "json" if args.json else "csv"
-    with out_path.open("w") as out:
-        rows, errors = run_benchmark(manifest, out, fmt=fmt, jobs=args.jobs)
+    with out_path.open("w") as out:  # an unwritable --out fails before any cell runs
+        rows, errors = run_benchmark(manifest, jobs=args.jobs)
+        write_results(rows, out, "json" if args.json else "csv")
     print(f"wrote {len(rows)} results to {out_path}")
     if errors:
         error_path = out_path.with_name(out_path.name + ".errors.txt")
@@ -140,7 +134,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except (DimacsError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DimacsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -248,18 +248,20 @@ def read_reference_table(path: str | Path) -> dict[str, int]:
         if not line or line.startswith("#"):
             continue
         parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected 'name colors', got {raw!r}")
         try:
-            colors = _integer(parts[1])
-        except ValueError:
-            colors = 0
-        if colors < 1:
-            raise ValueError(f"{path}:{line_no}: color count must be an integer "
-                             f"of at least 1, got {parts[1]!r}")
-        if parts[0] in first_lines:
-            raise ValueError(f"{path}:{line_no}: {parts[0]} already listed "
-                             f"at line {first_lines[parts[0]]}")
+            if len(parts) != 2:
+                raise ValueError(f"expected 'name colors', got {raw!r}")
+            try:
+                colors = _integer(parts[1])
+            except ValueError:
+                colors = 0
+            if colors < 1:
+                raise ValueError(f"color count must be an integer of at least 1, "
+                                 f"got {parts[1]!r}")
+            if parts[0] in first_lines:
+                raise ValueError(f"{parts[0]} already listed at line {first_lines[parts[0]]}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         first_lines[parts[0]] = line_no
         table[parts[0]] = colors
     return table

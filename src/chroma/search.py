@@ -47,16 +47,15 @@ from .clock import Clock, make_clock
 from .graph import Coloring, Graph, color_count
 from .heuristics import chromatic_lower_bound, dsatur
 
-METHODS = ("HC", "SA", "TS", "ILS")
-
 
 @dataclass(frozen=True)
 class SolverParams:
     """Per-method search parameters; defaults follow the benchmark setup.
 
-    The fields are the one parameter schema: numbers, each checked by its
-    declared type (PARAM_TYPES), from which the `solve` flags and manifest
-    keys are built. The method is the cell's, so one frozen object serves a run.
+    The fields are the one parameter schema: numbers, each checked here, and
+    only here, by its declared type (PARAM_TYPES). The `solve` flags and
+    manifest keys (bench.PARAM_KEYS) only read text into numbers. The method
+    is the cell's, so one frozen object serves a run.
     """
 
     hc_iterations: int = 5000
@@ -434,6 +433,7 @@ _METHOD_FUNCS = {
     "TS": tabu_search,
     "ILS": iterated_local_search,
 }
+METHODS = tuple(_METHOD_FUNCS)
 
 
 def project_coloring(g: Graph, colors: Sequence[int], k: int) -> Coloring:

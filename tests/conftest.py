@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from chroma import Graph, build_graph
+from chroma.bench import CSV_FIELDS, PARAM_KEYS
 from chroma.graph import _check_length
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +140,88 @@ def colored_graphs(draw, min_n=1, max_n=12, max_color=5):
     n, edges = draw(edge_lists(min_n, max_n))
     colors = draw(st.lists(st.integers(0, max_color), min_size=n, max_size=n))
     return n, edges, build_graph(n, edges), colors
+
+
+# Every separator str.splitlines splits on, "\r\n" among them.
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+# Lines that leave the strict shape, or pass it with an edge the line
+# parser refuses.
+OFF_SHAPE_LINES = [
+    "", "   ", "\t", "c mid-file comment", "  c indented", "n 1 4", "x",
+    "p edge 3 2", "p col 4 1", "p edge 3", "p edge x 2", "p  edge 3 2",
+    "e 1", "2 e 3 4", "e 1 2 3", "e 0 2", "e 1 9", "e 2 2", "e x 1",
+    "e 1 -1", "e 1 2.5", "e 01 2", "e  1 2", "e\t1 2", " e 1 2", "E 1 2",
+    "e 1 \uff12",  # a fullwidth 2, which int() reads
+]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A file of the strict shape, with up to two flaws: a line inserted,
+    an edge appended with any endpoints in [0, n + 1], a separator changed
+    or a trailing blank; and maybe no final newline."""
+    n = draw(st.integers(2, 5))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    lines = draw(st.lists(st.sampled_from(["c", "c a comment", "c p edge 9 9"]),
+                          max_size=2))
+    lines.append(f"p {draw(st.sampled_from(['edge', 'col']))} {n} "
+                 f"{draw(st.integers(0, 8))}")
+    lines += [f"e {u} {v}" for u, v in draw(st.lists(edge, max_size=8))]
+    seps = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        flaw = draw(st.sampled_from(["line", "edge", "separator", "trailing"]))
+        if flaw == "line":
+            lines.insert(i, draw(st.sampled_from(OFF_SHAPE_LINES)))
+            seps.insert(i, "\n")
+        elif flaw == "edge":
+            u = draw(st.integers(0, n + 1))
+            v = draw(st.one_of(st.just(u), st.integers(0, n + 1)))
+            lines.append(f"e {u} {v}")
+            seps.append("\n")
+        elif flaw == "separator":
+            seps[i] = draw(st.sampled_from(SEPARATORS + ["", " "]))
+        else:
+            lines[i] += draw(st.sampled_from([" ", "\t", "  "]))
+    if draw(st.integers(0, 3)) == 0:
+        seps[-1] = ""
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+# Keys a fuzzed manifest line draws from: every manifest key, and some that
+# are not (a field name under its alias, a singular, nonsense).
+MANIFEST_KEYS = ["instances", "methods", "seeds", "references", "method",
+                 "wall_budget_seconds", "nonsense", *PARAM_KEYS]
+
+
+def manifest_texts():
+    """Manifest files of up to 10 lines, each any text or a `key = value`
+    line with a key from MANIFEST_KEYS."""
+    return st.lists(st.one_of(
+        st.text(max_size=30),
+        st.tuples(st.sampled_from(MANIFEST_KEYS),
+                  st.one_of(st.text(max_size=10),
+                            st.sampled_from(["1", "0", "-1", "2.5", "nan", "inf",
+                                             "true", "hc, ts", "a.col", "1, x"])),
+                  ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    ), max_size=10).map("\n".join)
+
+
+def results_csv_texts():
+    """Results CSV files of up to 6 rows of short cells, with or without
+    the header."""
+    rows = st.lists(st.lists(st.text(alphabet="0123456789.-,\"\n\r\x00 truefalseHC",
+                                     max_size=8), max_size=10), max_size=6)
+    header = st.sampled_from(["", ",".join(CSV_FIELDS) + "\n"])
+    return st.tuples(header, rows).map(
+        lambda hr: hr[0] + "\n".join(",".join(cells) for cells in hr[1]))
+
+
+def non_utf8_bytes():
+    """Bytes that UTF-8 cannot decode: any bytes around a 0xFF."""
+    return st.tuples(st.binary(max_size=16), st.binary(max_size=16)).map(
+        lambda ab: ab[0] + b"\xff" + ab[1])
 
 
 @st.composite

@@ -4,16 +4,15 @@ from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from chroma import VirtualClock, WallClock, bench, render_dimacs
-from chroma.bench import (PARAM_OVERRIDES, BenchManifest, InternalInvariantError,
+from chroma.bench import (PARAM_KEYS, BenchManifest, InternalInvariantError,
                           RunResult, compare_report, diff_percent, parse_manifest,
-                          run_benchmark, run_cell)
+                          run_benchmark, run_cell, write_results)
 from chroma.dimacs import load_instance
 from chroma.search import SolverParams
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, manifest_texts
 
 
 class TestDiffPercent:
@@ -86,12 +85,13 @@ class TestManifest:
         ("methods = hc\n", "no instances"),
         ("instances = a.col\n", "no methods"),
         ("instances = a.col\nmethods = hc\nbadline\n", "key = value"),
+        # SolverParams checks the budget, as it checks --budget
         ("instances = a.col\nmethods = hc\nbudget = nan\n",
-         r"bad\.manifest:3: budget must be finite"),
+         r"bad\.manifest:3: wall_budget_seconds must be finite and positive, got nan"),
         ("instances = a.col\nmethods = hc\nbudget = inf\n",
-         r"bad\.manifest:3: budget must be finite"),
+         r"bad\.manifest:3: wall_budget_seconds must be finite and positive, got inf"),
         ("instances = a.col\nmethods = hc\nbudget = 0\n",
-         r"bad\.manifest:3: budget must be finite"),
+         r"bad\.manifest:3: wall_budget_seconds must be finite and positive, got 0\.0"),
         ("instances = a.col\nmethods = hc\nhc_iterations = 5x\n",
          r"bad\.manifest:3: hc_iterations must be an integer, got '5x'"),
         ("instances = a.col\nmethods = hc\nts_tabu_length = 2.5\n",
@@ -151,16 +151,14 @@ class TestManifest:
 
     def test_every_default_written_out_reads_back(self, tmp_path):
         # the manifest keys are read from the SolverParams schema: each field's
-        # default, written as `name = <default>`, must parse to that default
+        # default, written as `key = <default>`, must parse to that default
         defaults = SolverParams()
-        lines = ["instances = a.col", "methods = hc",
-                 f"budget = {defaults.wall_budget_seconds}"]
-        lines += [f"{name} = {getattr(defaults, name)}" for name in PARAM_OVERRIDES]
+        lines = ["instances = a.col", "methods = hc"]
+        lines += [f"{key} = {getattr(defaults, name)}" for key, name in PARAM_KEYS.items()]
         path = tmp_path / "defaults.manifest"
         path.write_text("\n".join(lines) + "\n")
         m = parse_manifest(path)
-        assert set(PARAM_OVERRIDES) | {"wall_budget_seconds"} == {
-            f.name for f in fields(SolverParams)}
+        assert set(PARAM_KEYS.values()) == {f.name for f in fields(SolverParams)}
         assert m.methods == ["HC"]
         assert m.params == defaults
 
@@ -172,7 +170,7 @@ class TestManifest:
             "ts_iterations": 3, "ts_tabu_length": 4, "ts_num_tweaks": 5,
             "ils_inner_seconds": 1.5, "ils_total_seconds": 2.5,
         }
-        assert set(values) == set(PARAM_OVERRIDES)
+        assert set(values) | {"budget"} == set(PARAM_KEYS)
         defaults = SolverParams()
         assert all(value != getattr(defaults, name) for name, value in values.items())
         lines = ["instances = a.col", "methods = hc", "budget = 30"]
@@ -182,21 +180,11 @@ class TestManifest:
         assert parse_manifest(path).params == SolverParams(
             wall_budget_seconds=30.0, **values)
 
-    _KEYS = ["instances", "methods", "seeds", "budget", "references", "method",
-             "wall_budget_seconds", "nonsense", *PARAM_OVERRIDES]
-
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.one_of(
-        st.text(max_size=30),
-        st.tuples(st.sampled_from(_KEYS),
-                  st.one_of(st.text(max_size=10),
-                            st.sampled_from(["1", "0", "-1", "2.5", "nan", "inf",
-                                             "true", "hc, ts", "a.col", "1, x"])),
-                  ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
-    ), max_size=10))
-    def test_fuzzed_manifest_raises_nothing_but_value_error(self, tmp_path, lines):
+    @given(manifest_texts())
+    def test_fuzzed_manifest_raises_nothing_but_value_error(self, tmp_path, text):
         path = tmp_path / "fuzz.manifest"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         try:
             parse_manifest(path)
         except ValueError:
@@ -323,9 +311,10 @@ class TestRunBenchmark:
         assert evaluations > 0
         assert virtual.wall_seconds == evaluations * 0.001
 
-    def test_writes_csv_when_given_stream(self, small_manifest):
+    def test_rows_write_as_csv(self, small_manifest):
+        rows, _ = run_benchmark(small_manifest)
         out = io.StringIO()
-        rows, _ = run_benchmark(small_manifest, out)
+        write_results(rows, out)
         lines = out.getvalue().splitlines()
         assert lines[0].startswith("instance,method,seed")
         assert len(lines) == len(rows) + 1

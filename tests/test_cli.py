@@ -1,14 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chroma import SolverParams, render_dimacs
+from chroma.bench import PARAM_KEYS, parse_manifest
 from chroma.cli import _build_parser, _params_from_args, main
 from chroma.dimacs import MAX_VERTICES
 
-from conftest import DATA_DIR
+from conftest import (DATA_DIR, dimacs_texts, manifest_texts, non_utf8_bytes,
+                      results_csv_texts)
 
 
 def run_cli(capsys, *argv):
@@ -142,7 +148,7 @@ class TestSolve:
         args = _build_parser().parse_args(
             ["solve", "x.col", "--method", "sa", "--budget", "1e3", "--sa-decrement", ".5",
              "--ils-inner-seconds", "+5", "--ils-total-seconds", "inf"])
-        assert (args.budget, args.sa_decrement, args.ils_inner_seconds,
+        assert (args.wall_budget_seconds, args.sa_decrement, args.ils_inner_seconds,
                 args.ils_total_seconds) == (1000.0, 0.5, 5.0, float("inf"))
 
     def test_an_int_flag_reads_ascii_digits_and_a_minus_sign(self):
@@ -397,6 +403,40 @@ class TestBenchAndReport:
         assert code == 2
         assert "wall_budget_seconds must be finite" in err
 
+    @pytest.mark.parametrize("budget", ["2.5", "7", "1e3", "+5"])
+    def test_a_budget_key_builds_the_params_its_flag_builds(self, tmp_path, budget):
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"instances = a.col\nmethods = hc\nbudget = {budget}\n")
+        args = _build_parser().parse_args(["solve", "a.col", "--method", "hc",
+                                           "--budget", budget])
+        assert parse_manifest(manifest).params == _params_from_args(args) == SolverParams(
+            wall_budget_seconds=float(budget))
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+    def test_a_refused_budget_reads_alike_as_a_key_and_a_flag(self, capsys, tmp_path,
+                                                              budget):
+        message = f"wall_budget_seconds must be finite and positive, got {float(budget)!r}"
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_text(f"instances = a.col\nmethods = hc\nbudget = {budget}\n")
+        assert run_cli(capsys, "bench", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "r.csv")) == (
+            2, "", f"error: {manifest}:3: {message}\n")
+        assert run_cli(capsys, "solve", str(DATA_DIR / "triangle.col"), "--method", "hc",
+                       "--budget", budget) == (2, "", f"error: {message}\n")
+
+    def test_an_unwritable_out_exits_2_before_any_cell_runs(self, capsys, tmp_path,
+                                                           monkeypatch):
+        cells = []
+        monkeypatch.setattr("chroma.bench.run_cell", lambda *cell: cells.append(cell))
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text(f"instances = {DATA_DIR / 'triangle.col'}\nmethods = hc\n")
+        out_csv = tmp_path / "missing" / "r.csv"
+        code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                 "--out", str(out_csv), "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(out_csv) in err
+        assert cells == []
+
     def test_report_missing_columns_exits_2(self, capsys, tmp_path):
         results = tmp_path / "results.csv"
         results.write_text("instance,method,k_colors\ntri,HC,3\n")
@@ -482,3 +522,66 @@ class TestExact:
         code, _, err = run_cli(capsys, "exact", str(DATA_DIR / "toy20.col"))
         assert code == 2
         assert "refuses 20" in err
+
+
+# Values a fuzzed flag takes: numbers that parse or are refused, and text
+# that int() or float() would read but chroma does not.
+TOKENS = ["1", "0", "-1", "0.5", "nan", "inf", "1_0", "+5", "\uff15", " 5", "", "x"]
+
+
+def flags(keys):
+    """Up to three `--key value` pairs, keys from `keys`, values from TOKENS."""
+    pair = st.tuples(st.sampled_from(keys), st.sampled_from(TOKENS))
+    return st.lists(pair, max_size=3).map(
+        lambda pairs: [arg for key, value in pairs
+                       for arg in ("--" + key.replace("_", "-"), value)])
+
+
+@st.composite
+def files(draw, text):
+    """Three times in four a file of the kind `text` draws; otherwise one of
+    any kind chroma reads, or bytes that are not UTF-8."""
+    if draw(st.integers(0, 3)):
+        return draw(text).encode()
+    return draw(st.one_of(dimacs_texts(), manifest_texts(), results_csv_texts())
+                .map(str.encode) | non_utf8_bytes())
+
+
+class TestExitContract:
+    """Whatever the arguments and files, `main` exits 0, or 2 with a message;
+    never 1, which is kept for an improper coloring, and never with a
+    traceback."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["solve", "bench", "report", "exact"]),
+           instance=files(dimacs_texts()),
+           manifest=files(manifest_texts()),
+           results=files(results_csv_texts()),
+           method=st.sampled_from(["hc", "sa", "ts", "ils"]),
+           params=flags(list(PARAM_KEYS)),
+           limit=flags(["limit"]))
+    def test_fuzzed_runs_exit_0_or_2(self, tmp_path, monkeypatch, command, instance,
+                                     manifest, results, method, params, limit):
+        monkeypatch.setenv("CHROMA_VIRTUAL_CLOCK", "1")
+        monkeypatch.chdir(tmp_path)  # a drawn relative path names nothing else
+        (tmp_path / "x.col").write_bytes(instance)
+        (tmp_path / "results.csv").write_bytes(results)
+        # a small fixed budget ahead of the drawn parameters keeps each run short
+        (tmp_path / "run.manifest").write_bytes(
+            b"budget = 1\ninstances = x.col\nmethods = hc\n" + manifest)
+        argv = {
+            "solve": ["solve", "x.col", "--method", method, "--budget", "1", *params],
+            "bench": ["bench", "--manifest", "run.manifest", "--out", "r.csv",
+                      "--jobs", "1"],
+            "report": ["report", "--in", "results.csv"],
+            "exact": ["exact", "x.col", *limit],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

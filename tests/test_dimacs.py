@@ -12,7 +12,7 @@ from chroma import (BEST_KNOWN_COLORS, DimacsError, build_graph, dimacs,
 from chroma.bench import CSV_FIELDS, RunResult, read_results_csv, write_results
 from chroma.dimacs import read_reference_table
 
-from conftest import edge_lists
+from conftest import SEPARATORS, dimacs_texts, edge_lists, results_csv_texts
 
 TRIANGLE = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -150,20 +150,6 @@ class TestParse:
         assert parsed.warnings == []
 
 
-# Every separator str.splitlines splits on, "\r\n" among them.
-SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
-              "\x85", "\u2028", "\u2029"]
-# Lines that leave the strict shape, or pass it with an edge the line
-# parser refuses.
-OFF_SHAPE_LINES = [
-    "", "   ", "\t", "c mid-file comment", "  c indented", "n 1 4", "x",
-    "p edge 3 2", "p col 4 1", "p edge 3", "p edge x 2", "p  edge 3 2",
-    "e 1", "2 e 3 4", "e 1 2 3", "e 0 2", "e 1 9", "e 2 2", "e x 1",
-    "e 1 -1", "e 1 2.5", "e 01 2", "e  1 2", "e\t1 2", " e 1 2", "E 1 2",
-    "e 1 \uff12",  # a fullwidth 2, which int() reads
-]
-
-
 def outcome(parse, text):
     try:
         return parse(text)
@@ -175,39 +161,6 @@ def assert_paths_agree(text):
     """parse_dimacs, whose strict path takes the text or hands it on, gives
     what the line parser alone gives: the same ParsedDimacs or message."""
     assert outcome(parse_dimacs, text) == outcome(dimacs._parse_lines, text)
-
-
-@st.composite
-def dimacs_texts(draw):
-    """A file of the strict shape, with up to two flaws: a line inserted,
-    an edge appended with any endpoints in [0, n + 1], a separator changed
-    or a trailing blank; and maybe no final newline."""
-    n = draw(st.integers(2, 5))
-    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
-    lines = draw(st.lists(st.sampled_from(["c", "c a comment", "c p edge 9 9"]),
-                          max_size=2))
-    lines.append(f"p {draw(st.sampled_from(['edge', 'col']))} {n} "
-                 f"{draw(st.integers(0, 8))}")
-    lines += [f"e {u} {v}" for u, v in draw(st.lists(edge, max_size=8))]
-    seps = ["\n"] * len(lines)
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(lines) - 1))
-        flaw = draw(st.sampled_from(["line", "edge", "separator", "trailing"]))
-        if flaw == "line":
-            lines.insert(i, draw(st.sampled_from(OFF_SHAPE_LINES)))
-            seps.insert(i, "\n")
-        elif flaw == "edge":
-            u = draw(st.integers(0, n + 1))
-            v = draw(st.one_of(st.just(u), st.integers(0, n + 1)))
-            lines.append(f"e {u} {v}")
-            seps.append("\n")
-        elif flaw == "separator":
-            seps[i] = draw(st.sampled_from(SEPARATORS + ["", " "]))
-        else:
-            lines[i] += draw(st.sampled_from([" ", "\t", "  "]))
-    if draw(st.integers(0, 3)) == 0:
-        seps[-1] = ""
-    return "".join(line + sep for line, sep in zip(lines, seps))
 
 
 # Texts on which the strict path must hand over to the line parser, or agree
@@ -503,12 +456,9 @@ class TestReadResults:
         row, = read_results_csv(stream)
         assert (row.seed, row.diff_percent) == (-5, -25.0)
 
-    @given(st.lists(st.lists(st.text(alphabet="0123456789.-,\"\n\r\x00 truefalseHC",
-                                     max_size=8), max_size=10), max_size=6),
-           st.booleans())
-    def test_fuzzed_rows_raise_nothing_but_value_error(self, rows, with_header):
-        text = "\n".join(",".join(cells) for cells in rows)
+    @given(results_csv_texts())
+    def test_fuzzed_rows_raise_nothing_but_value_error(self, text):
         try:
-            read_results_csv(io.StringIO((HEADER if with_header else "") + text))
+            read_results_csv(io.StringIO(text))
         except ValueError:
             pass
