@@ -3,7 +3,8 @@
 Each mutant is one exact source-text replacement in one file, with the tests
 that must fail once it is applied. For every mutant the script copies
 src/, tests/, scripts/, data/ and pyproject.toml to a temporary directory,
-applies the replacement there and runs each named test on its own.
+applies the replacement there and runs each named test on its own. A test
+run that outlasts TIMEOUT_SECONDS is stopped and counts as failing.
 Hypothesis runs with a fixed seed, so a run can be repeated.
 
 Exit status 1 if a mutant survives (one of its tests passes), if the text it
@@ -27,6 +28,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "data")
+# seconds allowed to one pytest run, the unmutated tree's run of every named
+# test included
+TIMEOUT_SECONDS = 300
 
 SEARCH = "src/chroma/search.py"
 HEURISTICS = "src/chroma/heuristics.py"
@@ -140,6 +144,10 @@ MUTANTS = [
     Mutant("tabu_search: tabu list one longer than ts_tabu_length", SEARCH,
            "deque(maxlen=params.ts_tabu_length)", "deque(maxlen=params.ts_tabu_length + 1)",
            ("tests/test_acceptance.py::test_criterion_7_fifo_memory_invariants", TS_KERNEL)),
+    Mutant("tabu_search: the old color's key left in the candidate's fingerprint", SEARCH,
+           "fp = h ^ hash((v, old)) ^ hash((v, new))", "fp = h ^ hash((v, new))",
+           (GOLDEN, "tests/test_golden.py::"
+                    "test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to")),
     Mutant("tabu_search: moves to its worst non-tabu candidate", SEARCH,
            "if chosen is None or d < chosen[0]:", "if chosen is None or d > chosen[0]:",
            (ORACLE, TS_KERNEL)),
@@ -194,7 +202,8 @@ MUTANTS = [
            (TS_KERNEL, "tests/test_search.py::TestTabuSearch::"
                        "test_virtual_deadline_stops_at_the_first_iteration_past_it")),
     # only iteration-bounded tests: with the time frozen, a climb with no
-    # iteration bound (ILS's) never ends
+    # iteration bound (ILS's) never ends, and would only be stopped by
+    # TIMEOUT_SECONDS
     Mutant("_climb: the time returned by tick dropped", SEARCH,
            "        now = tick()\n", "        tick()\n",
            (CLIMB_KERNEL, "tests/test_search.py::TestHillClimbing::"
@@ -354,12 +363,17 @@ def copy_tree(dest: Path) -> None:
 
 
 def run_tests(tree: Path, tests: tuple[str, ...]) -> bool:
-    """True when every test passes, run in `tree` against its own src/."""
+    """True when every test passes, run in `tree` against its own src/. A run
+    that outlasts TIMEOUT_SECONDS is stopped and counts as not passing, so a
+    mutant that freezes a loop is killed instead of waited on."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_SECONDS)
+    except subprocess.TimeoutExpired:
+        return False
     return proc.returncode == 0
 
 

@@ -95,14 +95,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows, errors = run_benchmark(manifest, jobs=args.jobs)
         write_results(rows, out, "json" if args.json else "csv")
     print(f"wrote {len(rows)} results to {out_path}")
+    error_path = out_path.with_name(out_path.name + ".errors.txt")
     if errors:
-        error_path = out_path.with_name(out_path.name + ".errors.txt")
         error_path.write_text("".join(e + "\n" for e in errors))
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         cells = len(errors) * len(manifest.methods) * len(manifest.seeds)
         print(f"{len(errors)} instance(s) skipped ({cells} cell(s) not run); "
               f"details in {error_path}", file=sys.stderr)
+    else:
+        error_path.unlink(missing_ok=True)  # left by an earlier run; this one skipped nothing
     return 0
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 import sys
 import typing
 from bisect import bisect_left, insort
@@ -96,23 +95,6 @@ class SearchOutcome:
     conflicts: int
     evaluations: int
     elapsed_seconds: float
-
-
-_ZOBRIST_SEED = 0x2B7E151628AED2A6  # fixed: the keys never draw on a search rng
-
-
-def _zobrist_table(n: int, k: int) -> list[tuple[int, ...]]:
-    """Zobrist (1970) keys: table[v][c] is a random 64-bit word for vertex v
-    colored c.
-
-    A coloring hashes to the XOR of table[v][colors[v]] over all v, so
-    recoloring v from old to new changes the hash by table[v][old] ^
-    table[v][new]. The words come from a private fixed-seed generator, so
-    building the table leaves every search's move stream untouched.
-    """
-    data = random.Random(_ZOBRIST_SEED).randbytes(8 * n * k)
-    words = struct.unpack(f"<{n * k}Q", data)
-    return [words[v * k:(v + 1) * k] for v in range(n)]
 
 
 class _ConflictState:
@@ -308,9 +290,16 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     lowest-conflict survivor (first drawn wins ties), even when worsening.
     An all-tabu sample makes no move that iteration.
 
-    Colorings are fingerprinted with an incremental 64-bit Zobrist hash (see
-    _zobrist_table): the current coloring's hash is kept up to date, and a
-    candidate's is derived from it in O(1) without touching the coloring.
+    Colorings are fingerprinted with an incremental Zobrist (1970) hash whose
+    key for vertex v colored c is hash((v, c)): a coloring hashes to the XOR
+    of its keys, the current coloring's hash is kept up to date, and a
+    candidate's, h ^ hash((v, old)) ^ hash((v, new)), is derived from it in
+    O(1) without touching the coloring. Python's own hash serves as the key
+    table because the search reads fingerprints only by equality: no key
+    value reaches a result, and only two colorings hashing alike inside the
+    tabu list could change a trajectory. A tuple of ints hashes alike in
+    every process (PYTHONHASHSEED salts str and bytes hashes, not int ones),
+    and the hash is 64 bits wide on 64-bit builds.
 
     Candidates are drawn and costed inline with the same lines as in _climb,
     and for the same reason each vertex is drawn from `conflicted`. They read
@@ -321,10 +310,9 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     best = list(state.colors)
     best_conf = state.total
     tabu = deque(maxlen=params.ts_tabu_length)
-    table = _zobrist_table(g.vertex_count, k)
     h = 0
     for v, c in enumerate(state.colors):
-        h ^= table[v][c]
+        h ^= hash((v, c))
     getrandbits = rng.getrandbits
     masks = state.masks
     classes = state.classes
@@ -355,8 +343,7 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                 r = getrandbits(others_bits)
             new = r if r < old else r + 1
             d = (masks[v] & classes[new]).bit_count() - own[v]
-            row = table[v]
-            fp = h ^ row[old] ^ row[new]
+            fp = h ^ hash((v, old)) ^ hash((v, new))
             if fp in tabu:
                 continue
             if chosen is None or d < chosen[0]:

@@ -264,6 +264,20 @@ class TestBenchAndReport:
         assert errors_file.exists()
         assert "ghost.col" in errors_file.read_text()
 
+    def test_a_clean_run_removes_an_earlier_runs_errors_file(self, capsys, tmp_path):
+        inst = tmp_path / "tri.col"
+        inst.write_text(render_dimacs(3, [(0, 1), (1, 2), (0, 2)]))
+        manifest = tmp_path / "run.manifest"
+        out_csv = tmp_path / "results.csv"
+        errors_file = tmp_path / "results.csv.errors.txt"
+        for instances, skipped in (f"{inst}, {tmp_path / 'ghost.col'}", True), (inst, False):
+            manifest.write_text(f"instances = {instances}\nmethods = hc\nseeds = 1\n")
+            code, out, err = run_cli(capsys, "bench", "--manifest", str(manifest),
+                                     "--out", str(out_csv), "--jobs", "1")
+            assert code == 0
+            assert errors_file.exists() is skipped
+            assert ("ghost.col" in err) is skipped
+
     def test_an_empty_instance_is_skipped_and_the_run_continues(self, capsys, tmp_path):
         tri = tmp_path / "tri.col"
         tri.write_text(render_dimacs(3, [(0, 1), (1, 2), (0, 2)]))

@@ -3,7 +3,8 @@
 The `test_deterministic` tests only compare one run with another, so an
 optimisation that changed a trajectory would still pass them. The GOLDEN
 values were recorded when tabu search still hashed each candidate coloring in
-full; any change to a move stream, an acceptance rule, a tabu decision or the
+full, and they hold unchanged under its incremental hash((vertex, color))
+keys. Any change to a move stream, an acceptance rule, a tabu decision or the
 k-reduction loop shows up here as a different k, per-level outcome or
 coloring digest.
 """
@@ -148,39 +149,20 @@ def test_golden_density_trajectory(case, monkeypatch):
     assert (k, levels, digest(coloring), digest([o.coloring for o in trace])) == DENSITY[case]
 
 
-def zobrist_from_scratch(table, colors) -> int:
+def coloring_hash(colors) -> int:
+    """The fingerprint tabu_search's docstring gives a coloring: the XOR of
+    hash((v, c)) over its vertices v colored c."""
     h = 0
     for v, c in enumerate(colors):
-        h ^= table[v][c]
+        h ^= hash((v, c))
     return h
-
-
-@st.composite
-def move_sequences(draw):
-    n = draw(st.integers(1, 12))
-    k = draw(st.integers(2, 6))
-    colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
-    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)),
-                          max_size=40))
-    return n, k, colors, moves
-
-
-@given(move_sequences())
-def test_incremental_zobrist_equals_recompute(case):
-    n, k, colors, moves = case
-    table = search._zobrist_table(n, k)
-    h = zobrist_from_scratch(table, colors)
-    for v, new in moves:
-        h ^= table[v][colors[v]] ^ table[v][new]
-        colors[v] = new
-        assert h == zobrist_from_scratch(table, colors)
 
 
 @settings(max_examples=50, deadline=None)
 @given(graphs(min_n=2, max_n=12), st.integers(2, 5), st.integers(0, 2**32))
 def test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to(g, k, seed):
-    """Every fingerprint tabu_search pushes equals a from-scratch Zobrist hash
-    of the coloring it has just moved to."""
+    """Every fingerprint tabu_search pushes equals the from-scratch hash of
+    the coloring it has just moved to."""
     pushed, visited = [], []
     real_apply = search._ConflictState.apply
 
@@ -194,13 +176,13 @@ def test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to(g, k, seed):
         mp.setattr(search, "deque", recording_deque(lambda tabu, fp: pushed.append(fp)))
         mp.setattr(search._ConflictState, "apply", spy_apply)
         tabu_search(g, k, init, params, seed)
-    table = search._zobrist_table(g.vertex_count, k)
-    assert pushed == [zobrist_from_scratch(table, c) for c in visited]
+    assert pushed == [coloring_hash(c) for c in visited]
 
 
-def test_k3_two_colors_hashes_all_eight_states_apart():
-    # test_all_tabu_iterations_make_no_move relies on every one of K3's 8
-    # two-colorings having its own fingerprint
-    table = search._zobrist_table(3, 2)
-    states = list(itertools.product(range(2), repeat=3))
-    assert len({zobrist_from_scratch(table, s) for s in states}) == len(states)
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (6, 3), (8, 2), (5, 5), (12, 2)])
+def test_every_small_coloring_hashes_apart(n, k):
+    # no two of the k**n colorings share a fingerprint, so a tabu decision
+    # there is the exact one; TestTabuSearch::test_all_tabu_iterations_make_no_move
+    # relies on this for K3's 8 two-colorings
+    states = list(itertools.product(range(k), repeat=n))
+    assert len({coloring_hash(s) for s in states}) == len(states)

@@ -1,10 +1,11 @@
-"""Checks of what lives beside the code: the committed DSJC manifest, and the
-mutant table of scripts/mutants.py, whose replacement texts must still be
-found in the source and whose named tests must still be defined. No script
-is run here."""
+"""Checks of what lives beside the code: the committed DSJC manifest and
+scripts/mutants.py. The mutant table's replacement texts must still be found
+in the source and its named tests must still be defined, and a test run that
+does not end must count as failing. No script is run here."""
 
 import ast
 import importlib.util
+import subprocess
 
 from chroma import SolverParams
 from chroma.bench import parse_manifest
@@ -24,17 +25,17 @@ def test_dsjc_manifest_names_the_protocol_cells():
     assert manifest.references_path is None
 
 
-def load_mutants():
+def load_mutants_script():
     spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    return mutants.MUTANTS
+    return mutants
 
 
 def test_every_mutant_names_text_found_once_and_existing_test_files():
     # the mutants themselves run in a CI job of their own; this keeps their
     # replacement texts from drifting away from the source unseen
-    for mutant in load_mutants():
+    for mutant in load_mutants_script().MUTANTS:
         source = (REPO_ROOT / mutant.path).read_text(encoding="utf-8")
         assert source.count(mutant.old) == 1, mutant.name
         assert all((REPO_ROOT / test.split("::")[0]).exists() for test in mutant.tests)
@@ -52,9 +53,24 @@ def test_every_test_a_mutant_names_is_defined():
                                names[1:])
                    for node in body)
 
-    for mutant in load_mutants():
+    for mutant in load_mutants_script().MUTANTS:
         for test in mutant.tests:
             path, *names = test.split("::")
             names = [name.split("[")[0] for name in names if name]
             tree = ast.parse((REPO_ROOT / path).read_text(encoding="utf-8"))
             assert defined(tree.body, names), f"{mutant.name}: {test}"
+
+
+def test_a_test_run_that_times_out_counts_as_not_passing(monkeypatch, tmp_path):
+    # a mutant that freezes a loop must not hold the mutant run until the CI
+    # job's own limit
+    script = load_mutants_script()
+    timeouts = []
+
+    def frozen_run(cmd, **kwargs):
+        timeouts.append(kwargs.get("timeout"))
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(script.subprocess, "run", frozen_run)
+    assert script.run_tests(tmp_path, ("tests/test_search.py",)) is False
+    assert timeouts == [script.TIMEOUT_SECONDS]

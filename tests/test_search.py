@@ -220,18 +220,11 @@ def run_recorded(search, g, k, init, p, seed, **kwargs):
 
 def reference_tabu_search(g, k, init, p, seed):
     """tabu_search read literally around reference_ts_sample, with each
-    candidate fingerprinted from scratch; returns what run_recorded does."""
+    candidate fingerprinted exactly, as the tuple of its colors; returns what
+    run_recorded does."""
     clock = VirtualClock()
     rng = random.Random(seed)
     clock.tick()  # the initial coloring's evaluation
-    table = search_module._zobrist_table(g.vertex_count, k)
-
-    def fingerprint(colors):
-        h = 0
-        for v, c in enumerate(colors):
-            h ^= table[v][c]
-        return h
-
     colors = list(init)
     best, best_conf = list(colors), conflict_count(g, colors)
     tabu = deque(maxlen=p.ts_tabu_length)
@@ -241,7 +234,7 @@ def reference_tabu_search(g, k, init, p, seed):
         if best_conf == 0:
             break
         chosen = reference_ts_sample(g, k, colors, rng, clock, p.ts_num_tweaks,
-                                     fingerprint, tabu)
+                                     tuple, tabu)
         evals += p.ts_num_tweaks
         if chosen is None:
             continue
