@@ -88,14 +88,17 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids; every one must fail
 
 
-def _kernel_mutants(label: str, indent: str, tests: tuple[str, ...]) -> list[Mutant]:
-    """The four move-kernel mutants in one loop. _climb's kernel sits at
-    8 spaces, tabu search's sample loop at 12, which tells the two apart."""
+def _kernel_mutants(label: str, indent: str, bound: str,
+                    tests: tuple[str, ...]) -> list[Mutant]:
+    """The four move-kernel mutants in one loop. _climb's draw and cost lines
+    sit at 8 spaces, tabu search's sample loop at 12, which tells the two
+    apart. `bound` is the text of the kernel's first read of the draw bound,
+    m = len(conflicted): _climb's sits before its loop, TS's after i += 1."""
     return [
         Mutant(f"{label}: r > m in the vertex draw", SEARCH,
                f"\n{indent}while r >= m:\n", f"\n{indent}while r > m:\n", tests),
         Mutant(f"{label}: len(colors) for len(conflicted)", SEARCH,
-               f"\n{indent}m = len(conflicted)\n", f"\n{indent}m = len(colors)\n", tests),
+               bound, bound.replace("len(conflicted)", "len(colors)"), tests),
         Mutant(f"{label}: the r + 1 skip of the old color dropped", SEARCH,
                f"\n{indent}new = r if r < old else r + 1\n", f"\n{indent}new = r\n", tests),
         Mutant(f"{label}: own[v] left out of the move cost", SEARCH,
@@ -139,8 +142,12 @@ MUTANTS = [
            "\n        d = (masks[v] & classes[new]).bit_count() - own[v]\n",
            "\n        d = (masks[v] & classes[new] & (1 << 40) - 1).bit_count() - own[v]\n",
            (GOLDEN,)),
-    *_kernel_mutants("_climb", " " * 8, (CLIMB_KERNEL, GOLDEN)),
-    *_kernel_mutants("tabu_search", " " * 12, (TS_KERNEL, GOLDEN)),
+    *_kernel_mutants("_climb", " " * 8, "\n    m = len(conflicted)\n", (CLIMB_KERNEL, GOLDEN)),
+    *_kernel_mutants("tabu_search", " " * 12, "i += 1\n        m = len(conflicted)\n",
+                     (TS_KERNEL, GOLDEN)),
+    Mutant("_climb: the draw bound left stale after an applied move", SEARCH,
+           "        apply(v, new)\n        m = len(conflicted)\n        b = m.bit_length()\n",
+           "        apply(v, new)\n", (CLIMB_KERNEL, GOLDEN, ORACLE)),
     Mutant("tabu_search: tabu list one longer than ts_tabu_length", SEARCH,
            "deque(maxlen=params.ts_tabu_length)", "deque(maxlen=params.ts_tabu_length + 1)",
            ("tests/test_acceptance.py::test_criterion_7_fifo_memory_invariants", TS_KERNEL)),
@@ -148,9 +155,15 @@ MUTANTS = [
            "fp = h ^ hash((v, old)) ^ hash((v, new))", "fp = h ^ hash((v, new))",
            (GOLDEN, "tests/test_golden.py::"
                     "test_tabu_search_pushes_the_hash_of_each_coloring_it_moves_to")),
-    Mutant("tabu_search: moves to its worst non-tabu candidate", SEARCH,
-           "if chosen is None or d < chosen[0]:", "if chosen is None or d > chosen[0]:",
-           (ORACLE, TS_KERNEL)),
+    Mutant("tabu_search: the loop keeps its costliest candidate", SEARCH,
+           "if d >= chosen_d:", "if chosen_d != no_move and d <= chosen_d:",
+           (ORACLE, TS_KERNEL, GOLDEN)),
+    Mutant("tabu_search: ties go to the later candidate", SEARCH,
+           "if d >= chosen_d:", "if d > chosen_d:", (TS_KERNEL, GOLDEN, ORACLE)),
+    Mutant("tabu_search: a tabu candidate lowers the bar", SEARCH,
+           "            if fp in tabu:\n                continue\n",
+           "            if fp in tabu:\n                chosen_d = d\n                continue\n",
+           (TS_KERNEL, GOLDEN, ORACLE)),
     Mutant("ILS: the first climb starts from a kick", SEARCH,
            "if evals > 1:", "if evals >= 1:",
            ("tests/test_search.py::TestIteratedLocalSearch::"

@@ -24,6 +24,9 @@ the rejection draw that `random.Random.randrange(m)` makes on Python 3.10
 to 3.13: r = getrandbits(m.bit_length()), drawn again while r >= m; at k = 2
 the color draw is randrange(1), which still takes one bit per move. The rng
 stream, and so every seeded trajectory, is the one `randrange` would give.
+Only an applied move changes the conflicted list, so the vertex draw's bound
+m and its bit length are read once per tabu sample, and in `_climb` once
+before the loop and again after each applied move.
 `_perturb`, ILS's kick, calls the stdlib's `sample` and `randrange`.
 
 Every method is deterministic given (graph, params, seed), except that a real
@@ -220,14 +223,14 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
     others_bits = others.bit_length()
     best = list(colors)
     best_conf = state.total
+    m = len(conflicted)
+    b = m.bit_length()
     now = clock.now()
     i = 0
     while best_conf > 0 and i < iterations:
         if now >= stop_at:
             break
         i += 1
-        m = len(conflicted)
-        b = m.bit_length()
         r = getrandbits(b)
         while r >= m:
             r = getrandbits(b)
@@ -244,6 +247,8 @@ def _climb(k: int, state: _ConflictState, *, rng: random.Random, clock: Clock,
             if not (t > 0.0 and rng.random() < math.exp(-d / t)):
                 continue
         apply(v, new)
+        m = len(conflicted)
+        b = m.bit_length()
         if state.total < best_conf:
             best_conf = state.total
             best = list(colors)
@@ -305,6 +310,13 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     and for the same reason each vertex is drawn from `conflicted`. They read
     no time: one `tick(ts_num_tweaks)` per iteration counts the sample and
     returns the time that the next stop test reads.
+
+    A candidate is fingerprinted only when it costs less than the best
+    non-tabu candidate so far (a bar that starts above every move cost, and
+    that a tabu candidate leaves where it was). One that costs no less could
+    not be chosen, tabu or not, so its fingerprint is never read and the
+    choice is exactly the one that testing every candidate makes, hash
+    collisions included.
     """
     clock, rng, t0, state = _prepare(g, k, init, seed, clock)
     best = list(state.colors)
@@ -323,16 +335,17 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     others = k - 1
     others_bits = others.bit_length()
     num_tweaks = params.ts_num_tweaks
+    no_move = g.vertex_count  # above every move cost: |d| <= deg(v) < n
     now = clock.now()
     i = 0
     while best_conf > 0 and i < params.ts_iterations:
         if now >= deadline:
             break
         i += 1
-        chosen: Optional[tuple[int, int, int, int]] = None  # (cost d, v, color, fp)
+        m = len(conflicted)
+        b = m.bit_length()
+        chosen_d = no_move
         for _ in range(num_tweaks):
-            m = len(conflicted)
-            b = m.bit_length()
             r = getrandbits(b)
             while r >= m:
                 r = getrandbits(b)
@@ -343,18 +356,18 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
                 r = getrandbits(others_bits)
             new = r if r < old else r + 1
             d = (masks[v] & classes[new]).bit_count() - own[v]
+            if d >= chosen_d:
+                continue
             fp = h ^ hash((v, old)) ^ hash((v, new))
             if fp in tabu:
                 continue
-            if chosen is None or d < chosen[0]:
-                chosen = (d, v, new, fp)
+            chosen_d, chosen_v, chosen_new, chosen_fp = d, v, new, fp
         now = clock.tick(num_tweaks)
-        if chosen is None:
+        if chosen_d == no_move:
             continue
-        _, v, new, fp = chosen
-        apply(v, new)
-        h = fp
-        tabu.append(fp)
+        apply(chosen_v, chosen_new)
+        h = chosen_fp
+        tabu.append(chosen_fp)
         if state.total < best_conf:
             best_conf = state.total
             best = list(state.colors)

@@ -197,6 +197,7 @@ class TestConflictState:
 
 
 K4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+K23 = build_graph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
 
 
 @st.composite
@@ -322,14 +323,17 @@ class TestMoveKernel:
                 == reference_iterated_local_search(g, k, init, p, seed, deadline))
 
     @settings(deadline=None)
-    @given(search_cases(), st.integers(1, 12))
+    @given(search_cases(), st.integers(1, 12), st.integers(1, 12))
     # K4 at k = 2 never reaches zero conflicts; on these two runs a tabu list
     # one entry longer than ts_tabu_length changes the trajectory
-    @example((K4, 2, [0] * 4, 0), 5)
-    @example((K4, 2, [0] * 4, 4), 3)
-    def test_tabu_search(self, case, tabu_length):
+    @example((K4, 2, [0] * 4, 0), 5, 10)
+    @example((K4, 2, [0] * 4, 4), 3, 10)
+    # K2,3 at k = 2 from one color, seed 11: in the fourth sample the
+    # cheapest candidate is tabu and drawn before the costlier one chosen
+    @example((K23, 2, [0] * 5, 11), 3, 3)
+    def test_tabu_search(self, case, tabu_length, num_tweaks):
         g, k, init, seed = case
-        p = params(ts_iterations=40, ts_tabu_length=tabu_length)
+        p = params(ts_iterations=40, ts_tabu_length=tabu_length, ts_num_tweaks=num_tweaks)
         assert (run_recorded(tabu_search, g, k, init, p, seed)
                 == reference_tabu_search(g, k, init, p, seed))
 
