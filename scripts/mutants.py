@@ -73,7 +73,12 @@ DSATUR_WIDE = "tests/test_heuristics.py::TestDsatur::test_matches_the_rule_past_
 
 STRICT_CAP = ("    if vertex_count > MAX_VERTICES:\n"
               "        return None  # the line parser names the p line\n")
-ENDPOINT_TABLE = "    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}\n"
+STRICT_SPLIT = '    tokens = (text[head.end():] + "e").split(" ")\n'
+FIRST_TOKEN = '    if tokens[0] != "e":\n        return None\n'
+ENDPOINT_TABLES = ("    first = {str(v): v - 1 for v in range(1, vertex_count + 1)}\n"
+                   '    second = {name + "\\ne": v for name, v in first.items()}\n')
+STRICT_TAKEN = ("tests/test_dimacs.py::TestStrictPath::test_rendered_and_dsjc_shaped_files_take_it",
+                "tests/test_dimacs.py::TestVertexCap::test_the_cap_itself_loads_on_the_strict_path")
 CHECKED_ENDPOINTS = ("tests/test_dimacs.py::TestCheckedEndpoints::"
                      "test_accepted_texts_hold_only_checked_endpoints",
                      "tests/test_dimacs.py::TestCheckedEndpoints::"
@@ -232,15 +237,23 @@ MUTANTS = [
             "tests/test_bench.py::TestManifest::test_utf8_byte_order_mark_is_skipped")),
     Mutant("parse_dimacs: \\r allowed in a strict comment line", DIMACS,
            r"(?:c[^\n\r\x0b", r"(?:c[^\n\x0b", (STRICT_CASES,)),
-    Mutant("parse_dimacs: the endpoint table one entry wider", DIMACS,
+    Mutant("parse_dimacs: the endpoint tables one entry wider", DIMACS,
            "range(1, vertex_count + 1)}", "range(1, vertex_count + 2)}",
            (STRICT_CASES, STRICT_FUZZ)),
-    Mutant("parse_dimacs: the endpoint table starts at \"0\"", DIMACS,
+    Mutant("parse_dimacs: the endpoint tables start at \"0\"", DIMACS,
            "range(1, vertex_count + 1)}", "range(0, vertex_count + 1)}",
            (STRICT_CASES, STRICT_FUZZ)),
-    # only the cap + 1 file: past the table, a 10**8 file would ask for gigabytes
-    Mutant("parse_dimacs: the strict path's vertex cap checked after the table", DIMACS,
-           STRICT_CAP + ENDPOINT_TABLE, ENDPOINT_TABLE + STRICT_CAP,
+    Mutant("parse_dimacs: the strict path's first-token check dropped", DIMACS,
+           FIRST_TOKEN, "", (STRICT_CASES,)),
+    Mutant("parse_dimacs: no e appended before the split", DIMACS,
+           '(text[head.end():] + "e").split(" ")', 'text[head.end():].split(" ")',
+           STRICT_TAKEN),
+    Mutant("parse_dimacs: the second endpoint's table keyed on \"\\n\"", DIMACS,
+           'name + "\\ne"', 'name + "\\n"', STRICT_TAKEN),
+    # only the cap + 1 file: past the tables, a 10**8 file would ask for gigabytes
+    Mutant("parse_dimacs: the strict path's vertex cap checked after the tables", DIMACS,
+           STRICT_CAP + STRICT_SPLIT + FIRST_TOKEN + ENDPOINT_TABLES,
+           STRICT_SPLIT + FIRST_TOKEN + ENDPOINT_TABLES + STRICT_CAP,
            ("tests/test_dimacs.py::TestVertexCap::"
             "test_the_refusal_allocates_nothing_sized_by_the_p_line",)),
     Mutant("parse_dimacs: the line parser's vertex cap removed", DIMACS,
@@ -259,8 +272,6 @@ MUTANTS = [
            "if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):", "if False:",
            ("tests/test_dimacs.py::TestParse::test_endpoint_out_of_range_reports_line",
             *CHECKED_ENDPOINTS)),
-    Mutant("parse_dimacs: an e line may run on past its second endpoint", DIMACS,
-           'r"^(?!e [0-9]+ [0-9]+$)"', 'r"^(?!e [0-9]+ [0-9]+)"', (STRICT_CASES,)),
     Mutant("parse_dimacs: the strict path never taken", DIMACS,
            "parsed = _parse_strict(text)", "parsed = None",
            ("tests/test_dimacs.py::TestStrictPath::"

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, Optional
@@ -24,9 +24,6 @@ from .dimacs import (InstanceRecord, _integer, _number, load_instance,
 from .graph import is_proper
 from .search import (METHODS, PARAM_TYPES, SolverParams, dsatur_start,
                      solve_k_reduction)
-
-CSV_FIELDS = ("instance", "method", "seed", "k_colors", "proper",
-              "wall_seconds", "best_known", "diff_percent")
 
 
 class InternalInvariantError(RuntimeError):
@@ -45,6 +42,10 @@ class RunResult:
     wall_seconds: float
     best_known: Optional[int] = None
     diff_percent: Optional[float] = None
+
+
+# the CSV header, and the fields of each JSON row
+CSV_FIELDS = tuple(f.name for f in fields(RunResult))
 
 
 def diff_percent(obtained: int, reference: int) -> float:

@@ -12,13 +12,16 @@ because duplicate edges legitimately collapse.
 
 A file of exactly the shape `render_dimacs` writes (``c`` lines at column 0,
 one ``p`` line with single spaces, then only ``e U V`` lines of ASCII digits,
-each ended by a newline) is parsed in bulk, each endpoint read through a
-table from ``"1"``..``"N"`` to 0..N-1; every other file, and every file with
-an endpoint the table lacks (out of range, or with a leading zero) or a
-self-loop, goes line by line, so each message, line number and warning is
-the line parser's. Both paths check every edge, so `load_instance` hands
-their endpoint lists straight to `graph_from_endpoints`: no list of edge
-pairs is built and no edge is checked twice.
+each ended by a newline) is parsed in bulk. Its body plus an ``e`` splits on
+single spaces into ``"e"``, then ``U`` and ``"V\\ne"`` per edge, and two tables
+map ``"1"``..``"N"`` and ``"1\\ne"``..``"N\\ne"`` to 0..N-1. Joined by single
+spaces the tokens are the body again, so a first token ``e`` and every other
+token in its table prove the shape. Every other file, and every file with an
+endpoint the tables lack (out of range, or with a leading zero) or a
+self-loop, goes line by line, so each message, line number and warning is the
+line parser's. Both paths check every edge, so `load_instance` hands their
+endpoint lists straight to `graph_from_endpoints`: no list of edge pairs is
+built and no edge is checked twice.
 """
 
 from __future__ import annotations
@@ -95,9 +98,6 @@ _STRICT_HEAD = re.compile(
 # an int flag. int() alone would also take a plus sign, underscores, any
 # Unicode decimal digit and surrounding whitespace.
 _INTEGER = re.compile(r"-?[0-9]+")
-# Matches at the start of the first line that is not `e U V`. A search for
-# it keeps no state per line, where one match over the whole block would.
-_NOT_E_LINE = re.compile(r"^(?!e [0-9]+ [0-9]+$)", re.M)
 
 
 def parse_dimacs(text: str) -> ParsedDimacs:
@@ -109,14 +109,10 @@ def parse_dimacs(text: str) -> ParsedDimacs:
 def _parse_strict(text: str) -> Optional[ParsedDimacs]:
     """The parse of a file of the strict shape with every edge valid, or
     None, for the line parser to take the file. None also for more than
-    MAX_VERTICES vertices, before the endpoint table is built, so the line
+    MAX_VERTICES vertices, before the tables are built, so the line
     parser refuses the p line."""
     head = _STRICT_HEAD.match(text)
-    if head is None or not text.endswith("\n"):
-        return None
-    body = head.end()
-    # endpos excludes the final newline, after which ^ would match once more
-    if _NOT_E_LINE.search(text, body, len(text) - 1) is not None:
+    if head is None:
         return None
     try:
         vertex_count, declared = int(head[1]), int(head[2])
@@ -124,14 +120,17 @@ def _parse_strict(text: str) -> Optional[ParsedDimacs]:
         return None
     if vertex_count > MAX_VERTICES:
         return None  # the line parser names the p line
-    index = {str(v): v - 1 for v in range(1, vertex_count + 1)}
-    tokens = text[body:].split()
-    try:  # one lookup converts, checks the range and moves to 0-based indices
-        us = list(map(index.__getitem__, tokens[1::3]))
-        vs = list(map(index.__getitem__, tokens[2::3]))
-    except KeyError:  # 0, above N, a leading zero or past int's digit limit
+    tokens = (text[head.end():] + "e").split(" ")
+    if tokens[0] != "e":
         return None
-    del tokens, index  # most of the peak memory, held no longer than needed
+    first = {str(v): v - 1 for v in range(1, vertex_count + 1)}
+    second = {name + "\ne": v for name, v in first.items()}
+    try:  # one lookup checks the shape and the range and moves to 0-based indices
+        us = list(map(first.__getitem__, tokens[1::2]))
+        vs = list(map(second.__getitem__, tokens[2::2]))
+    except KeyError:  # off the shape, 0, above N, a leading zero or too long
+        return None
+    del tokens, first, second  # most of the peak memory, held no longer than needed
     if any(map(operator.eq, us, vs)):
         return None  # a self-loop
     return _parsed(vertex_count, us, vs, declared, [])

@@ -172,11 +172,16 @@ STRICT_EDGE_CASES = [
     "p edge 3 1\ne 4 1\n",
     "p edge 3 1\ne 0 2\n",
     "p edge 3 1\ne 2 0\n",
-    # a leading zero: the line parser reads it, the endpoint table does not
+    # a leading zero: the line parser reads it, the endpoint tables do not
     "p edge 3 1\ne 01 2\n",
     "p edge 3 1\ne 1 02\n",
     "p edge 3 2\ne 1 2\ne 2 2\n",
     "p edge 3 1\ne 1 2 3\n",
+    "p edge 3 1\ne 1 2 \n",
+    "p edge 3 1\ne 1 2\r\n",
+    # the e U V field shape, but not led by an e
+    "p edge 3 1\nE 1 2\n",
+    "p edge 3 1\nx 1 2\n",
     "p edge 4 2\ne 1\n2 e 3 4\n",
     "p edge 3 1\ne 1 2",
     "p edge 3 1\ne 1 2\n\n",
@@ -196,17 +201,23 @@ class TestStrictPath:
     def test_agrees_on_the_edge_cases(self, text):
         assert_paths_agree(text)
 
-    def test_rendered_and_dsjc_shaped_files_take_it(self, monkeypatch):
+    @settings(max_examples=300)
+    @given(graph=edge_lists(min_n=0, max_n=40), comment=st.none() | st.text())
+    def test_rendered_and_dsjc_shaped_files_take_it(self, graph, comment):
         def refuse(text):
             raise AssertionError("the line parser was called")
 
-        monkeypatch.setattr(dimacs, "_parse_lines", refuse)
-        rendered = render_dimacs(5, [(0, 1), (3, 1), (4, 0)], comment="two\nlines")
-        assert parse_dimacs(rendered).edges == [(0, 1), (0, 4), (1, 3)]
-        # DSJC files list each edge in both directions, so the count matches
-        dsjc = ("c FILE: DSJC125.1.col\nc SOURCE: David Johnson\nc\n"
-                "p edge 125 4\ne 1 5\ne 5 1\ne 125 2\ne 2 125\n")
-        parsed = parse_dimacs(dsjc)
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dimacs, "_parse_lines", refuse)
+            parsed = parse_dimacs(render_dimacs(n, edges, comment=comment))
+            assert parsed.vertex_count == n
+            assert parsed.edges == sorted({(min(e), max(e)) for e in edges})
+            assert parsed.warnings == []
+            # DSJC files list each edge in both directions, so the count matches
+            dsjc = ("c FILE: DSJC125.1.col\nc SOURCE: David Johnson\nc\n"
+                    "p edge 125 4\ne 1 5\ne 5 1\ne 125 2\ne 2 125\n")
+            parsed = parse_dimacs(dsjc)
         assert parsed.vertex_count == 125
         assert parsed.edges == [(0, 4), (4, 0), (124, 1), (1, 124)]
         assert parsed.warnings == []
