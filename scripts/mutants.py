@@ -315,6 +315,11 @@ MUTANTS = [
            "    params = SolverParams(**asdict(params))\n    clock = make_clock()\n",
            ("tests/test_bench.py::TestRunBenchmark::"
             "test_the_cells_share_the_run_s_params_unchecked",)),
+    Mutant("solve_k_reduction: a level starts after the wall budget is spent", SEARCH,
+           "        if clock.now() >= deadline:\n            break\n", "",
+           tuple(f"tests/test_search.py::TestSolveKReduction::"
+                 f"test_no_level_starts_once_the_budget_is_spent[{method}]"
+                 for method in ("HC", "SA", "TS", "ILS"))),
     Mutant("solve_k_reduction: unknown method runs HC", SEARCH,
            "    if method not in METHODS:\n"
            "        raise ValueError(f\"method must be one of {METHODS}, got {method!r}\")\n"
@@ -359,9 +364,14 @@ MUTANTS = [
             "tests/test_graph.py::TestBuildGraph::test_duplicate_edges_collapse",
             "tests/test_graph.py::TestBuildGraph::test_reversed_duplicate_collapses",
             "tests/test_dimacs.py::TestLoadInstance::test_duplicate_edges_collapse_into_graph")),
-    Mutant("graph_from_endpoints: edge_count not halved", GRAPH,
-           "sum(map(int.bit_count, masks)) // 2", "sum(map(int.bit_count, masks))",
+    Mutant("Graph.edge_count: not halved", GRAPH,
+           "sum(map(int.bit_count, self.neighbor_masks)) // 2",
+           "sum(map(int.bit_count, self.neighbor_masks))",
            (MASKS_REFERENCE, "tests/test_graph.py::TestBuildGraph::test_triangle")),
+    Mutant("Graph.adjacency: each neighbor read one bit off", GRAPH,
+           "if mask >> u & 1", "if mask >> u + 1 & 1",
+           ("tests/test_graph.py::TestNeighborMasks::test_bit_set_exactly_for_neighbors",
+            "tests/test_graph.py::TestNeighborMasks::test_masks_are_the_field")),
     Mutant("is_proper: each vertex tested against the previous vertex's class", GRAPH,
            "if masks[v] & classes[c]:", "if masks[v] & classes[colors[v - 1]]:",
            ("tests/test_graph.py::TestConflicts::"

@@ -1,4 +1,5 @@
-"""Immutable undirected simple graph and coloring-quality measurements.
+"""Immutable undirected simple graph, its seeded G(n, p) generator and
+coloring-quality measurements.
 
 A coloring is a plain list of color indices, one per vertex. Palette indices
 are 0-based: a palette of size k is exactly {0, ..., k-1}.
@@ -6,6 +7,7 @@ are 0-based: a palette of size k is exactly {0, ..., k-1}.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -13,68 +15,62 @@ from typing import Iterable, Sequence
 Coloring = list[int]
 
 
-class GraphError(ValueError):
-    """Raised when a graph cannot be constructed from the given edges."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph stored as one int bitset per vertex.
 
-    neighbor_masks[v] has bit u set exactly when u is a neighbor of v; no
-    mask holds its own vertex, and u is in v's mask exactly when v is in
-    u's. Equality, hashing and repr follow the masks. The structure is
-    immutable and safe to share across concurrent solver runs; DSatur, the
-    clique bound, the exact oracle, projection, `is_proper` and every search
-    read the masks alone.
+    The two fields are the vertex count and the masks. neighbor_masks[v] has
+    bit u set exactly when u is a neighbor of v; no mask holds its own
+    vertex, and u is in v's mask exactly when v is in u's. Equality, hashing
+    and repr follow the masks. The structure is immutable and safe to share
+    across concurrent solver runs; DSatur, the clique bound, the exact
+    oracle, projection, `is_proper` and every search read the masks alone.
 
-    `adjacency` is a derived view for readers outside the solve path. The
-    k-reduction's start (`chroma.search.dsatur_start`: DSatur's coloring, its
-    color count and the chromatic lower bound) is a cache kept in the
-    instance __dict__, so it takes no part in equality, hashing or repr, and
-    a pickled graph carries it.
+    `edge_count` and `adjacency` are read off the masks, for readers outside
+    the solve path. The k-reduction's start (`chroma.search.dsatur_start`:
+    DSatur's coloring, its color count and the chromatic lower bound) is a
+    cache kept in the instance __dict__, so it takes no part in equality,
+    hashing or repr, and a pickled graph carries it.
     """
 
     vertex_count: int
-    edge_count: int
     neighbor_masks: tuple[int, ...]
+
+    @property
+    def edge_count(self) -> int:
+        """The number of edges: each sets one bit in each endpoint's mask."""
+        return sum(map(int.bit_count, self.neighbor_masks)) // 2
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """adjacency[v] lists v's neighbors in increasing order.
 
-        Read off the masks on first use and then cached. It costs more than
-        building the masks did, so nothing in the package reads it.
+        Read off the masks one bit per vertex on first use, and then cached.
+        It costs more than building the masks did, so nothing in the package
+        reads it.
         """
-        lists = []
-        for mask in self.neighbor_masks:
-            digits = f"{mask:b}"[::-1]  # digit u is bit u
-            neighbors = []
-            u = digits.find("1")
-            while u >= 0:
-                neighbors.append(u)
-                u = digits.find("1", u + 1)
-            lists.append(tuple(neighbors))
-        return tuple(lists)
+        n = self.vertex_count
+        return tuple(tuple(u for u in range(n) if mask >> u & 1)
+                     for mask in self.neighbor_masks)
 
 
 def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, collapsing duplicate edges.
 
-    Raises GraphError for out-of-range endpoints or self-loops, naming the
-    offending pair.
+    Raises ValueError for a negative vertex count, and for out-of-range
+    endpoints or self-loops, naming the offending pair.
     """
     if vertex_count < 0:
-        raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
+        raise ValueError(f"vertex_count must be nonnegative, got {vertex_count}")
     us: list[int] = []
     vs: list[int] = []
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise GraphError(
+            raise ValueError(
                 f"edge ({u}, {v}) out of range for {vertex_count} vertices"
             )
         if u == v:
-            raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         us.append(u)
         vs.append(v)
     return graph_from_endpoints(vertex_count, us, vs)
@@ -96,7 +92,20 @@ def graph_from_endpoints(vertex_count: int, us: Sequence[int],
     for u, v in zip(us, vs):
         masks[u] |= bit[v]
         masks[v] |= bit[u]
-    return Graph(vertex_count, sum(map(int.bit_count, masks)) // 2, tuple(masks))
+    return Graph(vertex_count, tuple(masks))
+
+
+def random_graph(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p): each of the n*(n-1)/2 edges drawn independently."""
+    rng = random.Random(seed)
+    # build_graph reads each pair once, so no list of them is held
+    edges = (
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    )
+    return build_graph(n, edges)
 
 
 def _check_length(g: Graph, colors: Sequence[int]) -> None:

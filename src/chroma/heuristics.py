@@ -130,7 +130,7 @@ def chromatic_lower_bound(g: Graph, upper: int) -> int:
     Larger graphs get the trivial bound: 2 if g has an edge, else 1.
     """
     if g.vertex_count > EXACT_VERTEX_LIMIT:
-        return 2 if g.edge_count else 1
+        return 2 if any(g.neighbor_masks) else 1
     omega = _clique_number(g)
     if omega >= upper:
         return omega

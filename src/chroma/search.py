@@ -309,7 +309,10 @@ def tabu_search(g: Graph, k: int, init: Sequence[int], params: SolverParams,
     Candidates are drawn and costed inline with the same lines as in _climb,
     and for the same reason each vertex is drawn from `conflicted`. They read
     no time: one `tick(ts_num_tweaks)` per iteration counts the sample and
-    returns the time that the next stop test reads.
+    returns the time that the next stop test reads. So a deadline is kept to
+    within one sample, which always runs to its end: where HC, SA and the ILS
+    climbs overrun it by at most one move, TS overruns it by at most
+    ts_num_tweaks candidates.
 
     A candidate is fingerprinted only when it costs less than the best
     non-tabu candidate so far (a bar that starts above every move cost, and
@@ -385,7 +388,7 @@ def _perturb(colors: Sequence[int], k: int, rng: random.Random) -> Coloring:
     other color."""
     out = list(colors)
     n = len(out)
-    count = min(n, math.ceil(_KICK_FRACTION * n))
+    count = math.ceil(_KICK_FRACTION * n)
     for v in rng.sample(range(n), count):
         r = rng.randrange(k - 1)
         old = out[v]

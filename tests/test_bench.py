@@ -431,6 +431,11 @@ class TestCompareReport:
         g2 = next(l for l in lines if l.startswith("g2"))
         assert "-" in g2
 
+    def test_a_method_with_no_row_on_an_instance_shows_dashes(self):
+        rows = self._rows()[:3]  # SA has no row on g2
+        g2 = next(l for l in compare_report(rows).splitlines() if l.startswith("g2"))
+        assert g2.split() == ["g2", "9*", "-", "-", "-"]
+
     def test_absent_methods_omitted(self):
         report = compare_report([RunResult("g1", "TS", 1, 4, True, 0.1, None, None)])
         assert "HC" not in report

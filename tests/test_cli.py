@@ -101,6 +101,16 @@ class TestSolve:
         assert err == (f"error: {big}: line 2: {MAX_VERTICES + 1} vertices exceed "
                        f"the limit of {MAX_VERTICES}\n")
 
+    def test_a_count_past_ints_digit_limit_exits_2_naming_file_and_line(self, capsys,
+                                                                        tmp_path):
+        big = tmp_path / "big.col"
+        big.write_text(f"p edge {'9' * 5000} 0\n")
+        code, out, err = run_cli(capsys, "solve", str(big), "--method", "hc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {big}: line 1: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("body,line", [
         ("p edge 20 1\ne 1_0 2\n", "line 2: non-integer endpoint: 'e 1_0 2'"),
         ("p edge +3 0\n", "line 1: non-integer p line fields: 'p edge +3 0'"),

@@ -287,6 +287,14 @@ class TestVertexCap:
         assert str(exc.value) == (
             f"line {line}: {count} vertices exceed the limit of {self.CAP}")
 
+    def test_a_count_past_ints_digit_limit_is_refused_on_the_p_line(self):
+        # 5000 digits: int() refuses them where Python limits integer string
+        # conversion (4300 digits by default), and the vertex cap elsewhere
+        text = f"p edge {'9' * 5000} 0\n"
+        assert_paths_agree(text)
+        with pytest.raises(DimacsError, match=r"^line 1: "):
+            parse_dimacs(text)
+
     def test_the_refusal_allocates_nothing_sized_by_the_p_line(self):
         text = f"p edge {self.CAP + 1} 0\n"
         tracemalloc.start()
@@ -363,6 +371,14 @@ class TestReferenceTable:
         path = tmp_path / "refs.txt"
         path.write_text(f"toy20 4\ntoy30 {count}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"refs\.txt:2: .*'{re.escape(count)}'"):
+            read_reference_table(path)
+
+    @pytest.mark.parametrize("line", ["toy30", "toy30 4 5", "toy30, 4, 5"])
+    def test_a_line_of_other_than_two_fields_names_its_line(self, tmp_path, line):
+        path = tmp_path / "refs.txt"
+        path.write_text(f"toy20 4\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"refs.txt:2: expected 'name colors', got {line!r}")):
             read_reference_table(path)
 
     def test_a_name_listed_twice_names_both_lines(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chroma import Graph, GraphError, build_graph, color_count, is_proper, random_graph
+from chroma import Graph, build_graph, color_count, is_proper, random_graph
 from chroma.graph import graph_from_endpoints
 from chroma.search import _START_KEY, dsatur_start
 
@@ -43,7 +43,7 @@ class TestBuildGraph:
         ([(0, 1), (1, 0), (0, 1), (2, 5), (1, 1), (9, 0)], "(2, 5)"),
     ])
     def test_out_of_range_names_pair(self, edges, pair):
-        with pytest.raises(GraphError, match=re.escape(f"edge {pair} out of range")):
+        with pytest.raises(ValueError, match=re.escape(f"edge {pair} out of range")):
             build_graph(3, edges)
 
     @pytest.mark.parametrize("edges,pair", [
@@ -51,11 +51,11 @@ class TestBuildGraph:
         ([(0, 1), (1, 0), (0, 1), (2, 2), (1, 1), (0, 7)], "(2, 2)"),
     ])
     def test_self_loop_rejected(self, edges, pair):
-        with pytest.raises(GraphError, match=re.escape(f"self-loop {pair}")):
+        with pytest.raises(ValueError, match=re.escape(f"self-loop {pair}")):
             build_graph(3, edges)
 
     def test_negative_vertex_count_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValueError):
             build_graph(-1, [])
 
     def test_empty_graph(self):
@@ -121,12 +121,10 @@ class TestNeighborMasks:
 
     def test_masks_are_the_field(self):
         g = build_graph(3, [(0, 1)])
-        assert [f.name for f in fields(Graph)] == ["vertex_count", "edge_count",
-                                                   "neighbor_masks"]
-        assert vars(g) == {"vertex_count": 3, "edge_count": 1,
-                           "neighbor_masks": (0b010, 0b001, 0b000)}
+        assert [f.name for f in fields(Graph)] == ["vertex_count", "neighbor_masks"]
+        assert vars(g) == {"vertex_count": 3, "neighbor_masks": (0b010, 0b001, 0b000)}
         # equality and hashing follow the masks
-        same = Graph(3, 1, (0b010, 0b001, 0b000))
+        same = Graph(3, (0b010, 0b001, 0b000))
         assert same == g and hash(same) == hash(g)
         assert build_graph(3, [(1, 2)]) != g
         # the adjacency view is built on first read, then kept

@@ -15,6 +15,7 @@ from chroma import (METHODS, Graph, SearchOutcome, SolverParams, VirtualClock,
                     is_proper, iterated_local_search, project_coloring,
                     random_graph, simulated_annealing, solve_k_reduction,
                     tabu_search)
+from chroma.clock import VIRTUAL_SECONDS_PER_EVAL
 
 from conftest import (colored_graphs, conflict_count, conflicted_vertices, graphs,
                       reference_climb, reference_descent, reference_draw_move,
@@ -347,6 +348,11 @@ class TestProjectColoring:
         # among its leaves
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert project_coloring(g, [5, 0, 0, 1], 2) == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_an_empty_palette_is_refused(self, k3, k):
+        with pytest.raises(ValueError, match="cannot project onto an empty palette"):
+            project_coloring(k3, [0, 1, 2], k)
 
     def test_tie_goes_to_lowest_color(self):
         g = build_graph(3, [(0, 1), (0, 2)])
@@ -738,7 +744,7 @@ class TestSolveKReduction:
                 new_coloring, new_k, new_trace = solve_k_reduction(g, method, p, seed=1)
                 with monkeypatch.context() as m:
                     m.setattr(search_module, "chromatic_lower_bound", lambda g, k: 2)
-                    fresh = Graph(g.vertex_count, g.edge_count, g.neighbor_masks)
+                    fresh = Graph(g.vertex_count, g.neighbor_masks)
                     old_coloring, old_k, old_trace = solve_k_reduction(fresh, method, p, seed=1)
                 assert (new_k, new_coloring) == (old_k, old_coloring), (i, method)
                 assert new_trace == old_trace[:len(new_trace)], (i, method)
@@ -809,6 +815,25 @@ class TestSolveKReduction:
         assert k == color_count(dsatur(g))
         assert is_proper(g, coloring)
 
+    @pytest.mark.parametrize("method,graph_seed,overrides", [
+        ("HC", 22, {}),
+        ("SA", 3, {}),
+        ("TS", 22, {"ts_iterations": 2000}),
+        ("ILS", 22, {"ils_inner_seconds": 0.5, "ils_total_seconds": 1.0}),
+    ], ids=["HC", "SA", "TS", "ILS"])
+    def test_no_level_starts_once_the_budget_is_spent(self, method, graph_seed, overrides):
+        # the first level succeeds on the very evaluation that reaches the
+        # deadline, so only the driver's own test can stop a second one
+        g = random_graph(20, 0.4, seed=graph_seed)
+        roomy = params(wall_budget_seconds=1000.0, **overrides)
+        _, _, full = solve_k_reduction(g, method, roomy, seed=1, clock=VirtualClock())
+        assert len(full) >= 2 and full[0].conflicts == 0
+        spent = full[0].evaluations * VIRTUAL_SECONDS_PER_EVAL
+        exact = params(wall_budget_seconds=spent, **overrides)
+        coloring, k, trace = solve_k_reduction(g, method, exact, seed=1, clock=VirtualClock())
+        assert trace == full[:1]
+        assert (coloring, k) == (full[0].coloring, color_count(dsatur(g)) - 1)
+
     def test_deterministic_per_method(self):
         g = random_graph(16, 0.5, seed=14)
         p = params(wall_budget_seconds=10.0)
@@ -855,7 +880,7 @@ class TestStartCache:
         assert sorted(start_calls) == start_of(*warm)
         assert any(trace for _, _, trace in results)  # levels ran from the start
         # each solve of a fresh equal graph computes its own start: same result
-        assert results == [solve_k_reduction(Graph(g.vertex_count, g.edge_count, g.neighbor_masks),
+        assert results == [solve_k_reduction(Graph(g.vertex_count, g.neighbor_masks),
                                              method, p, seed) for g, method, p, seed in cells]
 
     def test_returned_coloring_is_a_copy(self, k4):
@@ -869,7 +894,7 @@ class TestStartCache:
 
     def test_equal_distinct_graphs_each_compute_their_own(self, start_calls):
         a = random_graph(10, 0.5, seed=3)
-        b = Graph(a.vertex_count, a.edge_count, a.neighbor_masks)
+        b = Graph(a.vertex_count, a.neighbor_masks)
         assert a == b and a is not b
         for g in (a, b, a, b):
             solve_k_reduction(g, "HC", params(wall_budget_seconds=1.0), seed=1,
@@ -878,7 +903,7 @@ class TestStartCache:
 
     def test_cache_leaves_equality_hash_and_repr_alone(self):
         warm = random_graph(10, 0.5, seed=4)
-        cold = Graph(warm.vertex_count, warm.edge_count, warm.neighbor_masks)
+        cold = Graph(warm.vertex_count, warm.neighbor_masks)
         search_module.dsatur_start(warm)
         assert warm == cold
         assert hash(warm) == hash(cold)
